@@ -20,11 +20,11 @@ from .homology import (covolume_squared, homology_covolume_squared,
                        integral_cycle_basis, torsion_order)
 from .intmat import char_poly_rational
 from .kalai import verify_kalai
-from .spectra import (combinatorial_laplacian, geometric_boundary_basis,
-                      geometric_cycle_basis, mesh_matrix_boundaries,
-                      mesh_matrix_cycles, verify_geometric_theorems,
-                      verify_kirchhoff_lyons, verify_theorem1, verify_theorem2,
-                      weighted_laplacian)
+from .spectra import (combinatorial_laplacian, default_processes,
+                      geometric_boundary_basis, geometric_cycle_basis,
+                      mesh_matrix_boundaries, mesh_matrix_cycles,
+                      verify_geometric_theorems, verify_kirchhoff_lyons,
+                      verify_theorem1, verify_theorem2, weighted_laplacian)
 from .torsion import verify_rf_identity
 
 
@@ -251,17 +251,18 @@ def cmd_verify(args):
     theorem = args.theorem
     if theorem != "rf" and args.dim is None:
         raise ComplexFormatError(f"--theorem {theorem} requires --dim")
+    processes = default_processes()  # a bad CELLMESH_PROCESSES fails here
     if theorem == "trent":
-        report = verify_theorem1(x, args.dim)
+        report = verify_theorem1(x, args.dim, processes=processes)
     elif theorem == "boundary":
-        report = verify_theorem2(x, args.dim)
+        report = verify_theorem2(x, args.dim, processes=processes)
     elif theorem == "kirchhoff":
-        report = verify_kirchhoff_lyons(x, args.dim)
+        report = verify_kirchhoff_lyons(x, args.dim, processes=processes)
     elif theorem == "geometric":
         v0 = _parse_cells(args.forest, args.dim) if args.forest else None
         v1 = (_parse_cells(args.coforest_dim_plus_one, args.dim + 1)
               if args.coforest_dim_plus_one else None)
-        report = verify_geometric_theorems(x, args.dim, v0, v1)
+        report = verify_geometric_theorems(x, args.dim, v0, v1, processes)
     elif theorem == "covolume":
         report = _covolume_report(x, args.dim)
     elif theorem == "rf":

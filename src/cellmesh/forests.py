@@ -101,6 +101,22 @@ def subset_rank_stream(vectors, size, target_rank, allow_dependent):
     yield from rec(0, [], 0, 0)
 
 
+def greedy_basis(vectors, order, target):
+    """Positions, in `order`, of the vectors a greedy pass keeps: each one
+    that raises the rank, until the rank reaches `target`."""
+    pivots = []
+    picked = []
+    for i in order:
+        if len(picked) == target:
+            break
+        red = _reduce_against(vectors[i], pivots)
+        pos = _first_nonzero(red)
+        if pos >= 0:
+            pivots.append((pos, red))
+            picked.append(i)
+    return picked
+
+
 def _column_vectors(mat):
     return [tuple(mat.data[i][j] for i in range(mat.rows)) for j in range(mat.cols)]
 
@@ -243,31 +259,6 @@ class BoundaryWeightContext:
         self.rows = _row_vectors(self.a)
 
 
-def _greedy_coforest_completion(ctx, positions, order):
-    """Extend row positions to a spanning coforest greedily along `order`."""
-    pivots = []
-    chosen = list(positions)
-    for p in positions:
-        red = _reduce_against(ctx.rows[p], pivots)
-        pos = _first_nonzero(red)
-        if pos < 0:
-            raise ComplexFormatError("subset is not a k-reduced spanning coforest")
-        pivots.append((pos, red))
-    for i in order:
-        if len(pivots) == ctx.b_up:
-            break
-        if i in positions:
-            continue
-        red = _reduce_against(ctx.rows[i], pivots)
-        pos = _first_nonzero(red)
-        if pos >= 0:
-            pivots.append((pos, red))
-            chosen.append(i)
-    if len(pivots) != ctx.b_up:
-        raise ComplexFormatError("no containing spanning coforest exists")
-    return sorted(chosen)
-
-
 def cycle_weight(x, d, subset, basis, ctx=None):
     """Weight of a k-augmented spanning forest, computed both ways.
 
@@ -324,15 +315,17 @@ def boundary_weight(x, d, subset, basis, ctx=None):
     direct = gram_det(r_w.transpose())
     bprime = kernel_basis(r_w)  # b_d x k coordinates of boundaries vanishing on W
     gram_factor = gram_det(bprime)
-    n = x.n_cells(d)
-    v1 = _greedy_coforest_completion(ctx, pos, range(n))
+    pos_set = set(pos)
+    rest = [i for i in range(x.n_cells(d)) if i not in pos_set]
+    # W is independent, so a greedy pass that starts with it keeps all of it
+    v1 = sorted(greedy_basis(ctx.rows, pos + rest, ctx.b_up))
     u1, vv1 = _u_v_orders(ctx, pos, v1, bprime)
     if direct * u1 * u1 != vv1 * vv1 * gram_factor:
         raise AssertionError(
             f"boundary weight mismatch on {sorted(subset.members)}: "
             f"{direct} * {u1}^2 != {vv1}^2 * {gram_factor}")
     f_w = Fraction(u1, vv1)
-    v2 = _greedy_coforest_completion(ctx, pos, range(n - 1, -1, -1))
+    v2 = sorted(greedy_basis(ctx.rows, pos + rest[::-1], ctx.b_up))
     if v2 != v1:
         u2, vv2 = _u_v_orders(ctx, pos, v2, bprime)
         if Fraction(u2, vv2) != f_w:
@@ -345,6 +338,8 @@ def boundary_weight(x, d, subset, basis, ctx=None):
 
 def _u_v_orders(ctx, w_positions, v_positions, bprime):
     """u(W,V) and v(V,X) for W inside the spanning coforest V."""
+    if len(v_positions) != ctx.b_up:
+        raise ComplexFormatError("no containing spanning coforest exists")
     interface = [p for p in v_positions if p not in set(w_positions)]
     supported = ctx.a.mul(bprime)  # boundaries vanishing on W, cellular coords
     sub = supported.submatrix(interface, range(bprime.cols))
@@ -380,39 +375,3 @@ def kirchhoff_pair_weight(x, d, forest_subset, coforest_subset):
                 f"pair weight {weight} != relative order {order} squared")
     return weight
 
-
-def det_squared_leaf_stream(vectors, size):
-    """Yield (index tuple, det^2) over independent subsets of square width.
-
-    vectors must all have length `size`; the determinant is produced by the
-    running Bareiss state, so each leaf costs no extra elimination.
-    """
-    n = len(vectors)
-    if size == 0:
-        yield (), 1
-        return
-    pivots = []  # (pos, reduced row, bareiss divisor before this pivot)
-
-    def rec(start, chosen):
-        depth = len(chosen)
-        if depth == size:
-            yield tuple(chosen), pivots[-1][1][pivots[-1][0]] ** 2
-            return
-        need = size - depth
-        for i in range(start, n - need + 1):
-            v = list(vectors[i])
-            prev = 1
-            for pos, pvec, div in pivots:
-                c = v[pos]
-                w = pvec[pos]
-                v = [(w * a - c * b) // prev for a, b in zip(v, pvec)]
-                prev = w
-            pos = _first_nonzero(v)
-            if pos >= 0:
-                pivots.append((pos, v, prev))
-                chosen.append(i)
-                yield from rec(i + 1, chosen)
-                chosen.pop()
-                pivots.pop()
-
-    yield from rec(0, [])

@@ -675,7 +675,3 @@ def principal_minor_sum(m, k):
         sub = [[m.data[i][j] for j in idx] for i in idx]
         total += det_rational(sub)
     return total
-
-
-def is_unimodular(a):
-    return a.rows == a.cols and abs(a.det()) == 1

@@ -5,18 +5,23 @@ independent code paths: characteristic polynomials come from the
 Faddeev-LeVerrier recursion on the assembled matrix, while the right-hand
 sides are produced by explicit subset enumeration with exact weights.
 All equality checks are exact; there are no tolerances anywhere.
+
+Every enumeration of independent subsets runs on one engine,
+independent_subsets, a DFS over exact incremental Gram determinants.  At
+each subset trent checks the cokernel-order identity (_trent_leaf_check):
+the torsion ratio t(X_W)/t(X) and the invariant-factor product of the
+chosen cycle-matrix rows are two Smith routes that must agree.
 """
 
 import os
 import time
 from fractions import Fraction
-from itertools import combinations
+from functools import partial
 from math import comb
 
 from .complexes import CellSubset, ComplexFormatError, boundary_matrix, boundary_matrix_above
 from .forests import (BoundaryWeightContext, CycleWeightContext, boundary_weight,
-                      cycle_weight, det_squared_leaf_stream, enumerate_forests,
-                      kirchhoff_pair_weight)
+                      enumerate_forests, greedy_basis, kirchhoff_pair_weight)
 from .homology import (integral_boundary_basis, integral_cycle_basis,
                        rational_solve, relative_order)
 from .intmat import (IntMatrix, RatMatrix, char_poly, char_poly_rational,
@@ -147,21 +152,9 @@ def weighted_laplacian(x, d, weights):
 def greedy_spanning_forest(x, d):
     """First spanning forest at dimension d in lexicographic cell order."""
     bd = boundary_matrix(x, d)
-    target = rank(bd)
-    picked = []
-    pivots = []
-    from .forests import _first_nonzero, _reduce_against
-    for j in range(bd.cols):
-        if len(picked) == target:
-            break
-        col = tuple(bd.data[i][j] for i in range(bd.rows))
-        red = _reduce_against(col, pivots)
-        pos = _first_nonzero(red)
-        if pos >= 0:
-            pivots.append((pos, red))
-            picked.append(j)
+    cols = [tuple(bd.data[i][j] for i in range(bd.rows)) for j in range(bd.cols)]
     ids = x.cell_ids(d)
-    return CellSubset(d, [ids[j] for j in picked])
+    return CellSubset(d, [ids[j] for j in greedy_basis(cols, range(bd.cols), rank(bd))])
 
 
 def geometric_cycle_basis(x, d, v0):
@@ -233,22 +226,62 @@ def gram_state_push(state, vec):
     return (v, nrm, nrm // prev_gram)
 
 
-def independent_subset_gram_sums(vectors, processes=1):
-    """Sum of Gram determinants over all nonempty independent subsets.
+def independent_subsets(vectors, max_size=None, first=None):
+    """Every nonempty linearly independent subset of `vectors` with at most
+    `max_size` members, as (sorted index tuple, Gram determinant), in
+    lexicographic DFS order.
 
-    Returns {size: [sum_of_gram_dets, subset_count]}.  Used for the
-    Cauchy-Binet collapsed inner sums of the Kirchhoff and geometric
-    verifiers; deterministic for any process count.
+    This is the one subset-enumeration engine of the verifiers: a DFS over
+    gram_state_push in which a dependent push prunes its whole subtree.
+    With `first` set only the subsets whose smallest index is `first` are
+    visited, so the runs for first = 0, 1, ... split the enumeration in
+    order.
     """
     n = len(vectors)
-    tasks = list(range(n))
-    if processes > 1 and n >= 12:
-        results = _run_parallel(_gram_sums_task, [(vectors, i) for i in tasks],
-                                processes)
+    cap = n if max_size is None else max_size
+    stop = n if first is None else first + 1  # bound on the smallest index
+    state = []
+    chosen = []
+    i = 0 if first is None else first
+    while True:
+        if len(chosen) < cap and i < (n if chosen else stop):
+            item = gram_state_push(state, vectors[i])
+            if item is not None:
+                state.append(item)
+                chosen.append(i)
+                yield tuple(chosen), item[2]
+            i += 1
+        elif chosen:
+            state.pop()
+            i = chosen.pop() + 1
+        else:
+            return
+
+
+# Above this many subsets (bounded by sum_{j <= rank} C(n, j)) an
+# enumeration is split over the process pool, when one is allowed.
+_POOL_MIN_SUBSETS = 120_000
+
+
+def independent_subset_gram_sums(vectors, rank_cap, processes=1, check=None):
+    """Sum of Gram determinants over all nonempty independent subsets.
+
+    Returns {size: [sum_of_gram_dets, subset_count]}.  `rank_cap` bounds the
+    rank of `vectors`.  `check(index tuple, gram)`, when given, runs at
+    every subset and raises on a failed identity; it must be picklable.
+    The subsets are split by smallest index over `processes` workers when
+    processes > 1 and sum_{j <= rank_cap} C(n, j) > _POOL_MIN_SUBSETS; the
+    result is the same for any process count.
+    """
+    n = len(vectors)
+    if processes > 1 and sum(comb(n, j) for j in range(rank_cap + 1)) > _POOL_MIN_SUBSETS:
+        parts = _run_parallel(_subset_gram_sums,
+                              [(vectors, rank_cap, i, check) for i in range(n)],
+                              processes)
     else:
-        results = [_gram_sums_task((vectors, i)) for i in tasks]
+        parts = [_subset_gram_sums((vectors, rank_cap, None, check))]
     total = {}
-    for part in results:
+    for part in parts:
         for size, (s, c) in part.items():
             acc = total.setdefault(size, [0, 0])
             acc[0] += s
@@ -256,172 +289,98 @@ def independent_subset_gram_sums(vectors, processes=1):
     return total
 
 
-def _gram_sums_task(args):
-    vectors, first = args
+def _subset_gram_sums(args):
+    vectors, rank_cap, first, check = args
     out = {}
-    state = []
-    w0 = gram_state_push(state, vectors[first])
-    if w0 is None:
-        return out
-    state.append(w0)
-    out[1] = [w0[2], 1]
-
-    def rec(start, depth):
-        for i in range(start, len(vectors)):
-            item = gram_state_push(state, vectors[i])
-            if item is None:
-                continue
-            state.append(item)
-            acc = out.setdefault(depth + 1, [0, 0])
-            acc[0] += item[2]
-            acc[1] += 1
-            rec(i + 1, depth + 1)
-            state.pop()
-
-    rec(first + 1, 1)
+    for idx, gram in independent_subsets(vectors, rank_cap, first):
+        if check is not None:
+            check(idx, gram)
+        acc = out.setdefault(len(idx), [0, 0])
+        acc[0] += gram
+        acc[1] += 1
     return out
 
 
 def _run_parallel(fn, arg_list, processes):
+    """[fn(a) for a in arg_list] on a pool of `processes` workers; rerun
+    serially when the pool cannot start or breaks."""
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=processes) as pool:
-        return list(pool.map(fn, arg_list, chunksize=1))
+    from concurrent.futures.process import BrokenProcessPool
+    try:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            return list(pool.map(fn, arg_list, chunksize=1))
+    except (OSError, BrokenProcessPool):
+        return [fn(a) for a in arg_list]
 
 
 def default_processes():
+    """Worker count: CELLMESH_PROCESSES when set, else min(2, CPUs)."""
     env = os.environ.get("CELLMESH_PROCESSES")
-    if env:
-        return max(1, int(env))
-    return min(2, os.cpu_count() or 1)
-
-
-def iter_independent_subsets(vectors, max_size=None):
-    """All nonempty linearly independent subsets, as sorted index tuples,
-    in lexicographic DFS order."""
-    n = len(vectors)
-    cap = n if max_size is None else max_size
-    state = []
-    chosen = []
-
-    def rec(start):
-        for i in range(start, n):
-            item = gram_state_push(state, vectors[i])
-            if item is None:
-                continue
-            state.append(item)
-            chosen.append(i)
-            yield tuple(chosen)
-            if len(chosen) < cap:
-                yield from rec(i + 1)
-            chosen.pop()
-            state.pop()
-
-    yield from rec(0)
+    if not env:
+        return min(2, os.cpu_count() or 1)
+    try:
+        value = int(env)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(
+            f"CELLMESH_PROCESSES must be a positive integer, got {env!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
 # Theorem 1: cycle mesh matrix vs k-augmented spanning forests.
 # ---------------------------------------------------------------------------
 
-_FAST_SUBSET_THRESHOLD = 120_000
+def _trent_leaf_check(ctx, chosen, gram):
+    """Trent's leaf check, the cokernel-order identity.
 
-
-def _theorem1_fast_task(args):
-    """Enumerate independent row subsets of the cycle matrix with one fixed
-    first row, checking the torsion-ratio identity at every subset."""
-    (a_rows, coord_cols, n_coord_rows, t_x, first) = args
-    out = {}
-    state = []
-    item = gram_state_push(state, a_rows[first])
-    if item is None:
-        return out
-    n = len(a_rows)
-
-    def record(chosen, depth, gram_val):
-        # chosen rows form W^c; the complement W is a (z-depth)-augmented forest
-        wpos = [j for j in range(n) if j not in chosen]
-        if n_coord_rows:
-            mat = [[coord_cols[j][i] for j in wpos] for i in range(n_coord_rows)]
-            t_w = invariant_factor_product(mat)
-        else:
-            t_w = 1
-        if t_w % t_x:
-            raise AssertionError("torsion ratio is not an integer")
-        ratio = t_w // t_x
-        sub = [list(a_rows[i]) for i in chosen]
-        cok = invariant_factor_product(sub)
-        if cok != ratio:
-            raise AssertionError(
-                f"cokernel order {cok} != torsion ratio {ratio} on rows {chosen}")
-        if gram_val % (ratio * ratio):
-            raise AssertionError("covolume not divisible by squared torsion ratio")
-        acc = out.setdefault(depth, [0, 0])
-        acc[0] += gram_val
-        acc[1] += 1
-
-    state.append(item)
-    chosen = {first}
-    record(chosen, 1, item[2])
-
-    def rec(start, depth):
-        for i in range(start, n):
-            item = gram_state_push(state, a_rows[i])
-            if item is None:
-                continue
-            state.append(item)
-            chosen.add(i)
-            record(chosen, depth + 1, item[2])
-            rec(i + 1, depth + 1)
-            chosen.discard(i)
-            state.pop()
-
-    rec(first + 1, 1)
-    return out
+    The rows `chosen` of the cycle matrix are independent, so their
+    complement W is a k-augmented spanning forest whose weight is `gram`,
+    the Gram determinant of those rows.  Two Smith routes must agree: the
+    torsion ratio t(X_W)/t(X), read off the boundary coordinates of W, and
+    the invariant-factor product of the chosen rows.  The weight must also
+    be divisible by the squared ratio.
+    """
+    taken = set(chosen)
+    t_w = ctx.torsion_subcomplex([j for j in range(ctx.a.rows) if j not in taken])
+    if t_w % ctx.t_x:
+        raise AssertionError(
+            f"torsion ratio {t_w}/{ctx.t_x} is not an integer on rows {list(chosen)}")
+    ratio = t_w // ctx.t_x
+    cok = invariant_factor_product([list(ctx.a.data[i]) for i in chosen])
+    if cok != ratio:
+        raise AssertionError(
+            f"cokernel order {cok} != torsion ratio {ratio} on rows {list(chosen)}")
+    if gram % (ratio * ratio):
+        raise AssertionError("covolume not divisible by squared torsion ratio")
 
 
 def verify_theorem1(x, d, basis=None, processes=None):
     """Check every characteristic coefficient of the cycle mesh matrix
-    against the weighted sum over k-augmented spanning forests."""
+    against the weighted sum over k-augmented spanning forests.
+
+    The forests are the complements of the independent row subsets of the
+    cycle matrix, and a forest's weight is the Gram determinant of those
+    rows.  Every subset must pass trent's leaf check, the cokernel-order
+    identity (_trent_leaf_check): t(X_W)/t(X) equal to the invariant-factor
+    product of the chosen rows, whose square divides the weight.
+    """
     start = time.monotonic()
-    if basis is None:
-        basis = integral_cycle_basis(x, d)
     if processes is None:
         processes = default_processes()
+    if basis is None:
+        basis = integral_cycle_basis(x, d)
     mesh = mesh_matrix_cycles(x, d, basis)
     poly = char_poly(mesh.matrix)
     z = basis.basis.cols
-    n = x.n_cells(d)
-    notes = []
-
+    ctx = CycleWeightContext(x, d, basis)
+    a_rows = [tuple(row) for row in basis.basis.data]
     rhs = {k: [0, 0] for k in range(z + 1)}
     rhs[z] = [1, 0]  # leading coefficient: empty-product convention
-    estimated = sum(comb(n, z - k) for k in range(z))
-    if estimated > _FAST_SUBSET_THRESHOLD:
-        notes.append("fast enumeration path (cokernel-order identity per subset)")
-        ctx = CycleWeightContext(x, d, basis)
-        a_rows = [tuple(row) for row in basis.basis.data]
-        args = [(a_rows, ctx.coord_cols, ctx.coords.rows, ctx.t_x, i)
-                for i in range(n)]
-        if processes > 1:
-            results = _run_parallel(_theorem1_fast_task, args, processes)
-        else:
-            results = [_theorem1_fast_task(a) for a in args]
-        for part in results:
-            for depth, (s, c) in part.items():
-                rhs[z - depth][0] += s
-                rhs[z - depth][1] += c
-    else:
-        # complements of independent row subsets of the cycle matrix are
-        # exactly the k-augmented spanning forests
-        ctx = CycleWeightContext(x, d, basis)
-        ids = x.cell_ids(d)
-        a_rows = [tuple(row) for row in basis.basis.data]
-        for idx in iter_independent_subsets(a_rows):
-            k = z - len(idx)
-            members = set(ids) - {ids[i] for i in idx}
-            w = cycle_weight(x, d, CellSubset(d, members), basis, ctx)
-            rhs[k][0] += w.weight
-            rhs[k][1] += 1
+    sums = independent_subset_gram_sums(a_rows, z, processes,
+                                        partial(_trent_leaf_check, ctx))
+    rhs.update((z - size, acc) for size, acc in sums.items())
 
     rows = []
     passed = True
@@ -432,7 +391,7 @@ def verify_theorem1(x, d, basis=None, processes=None):
         rows.append({"k": k, "lhs": lhs, "rhs": rhs[k][0],
                      "certificates": rhs[k][1], "pass": ok})
     elapsed = (time.monotonic() - start) * 1000.0
-    return VerificationReport("trent", d, rows, passed, elapsed, notes)
+    return VerificationReport("trent", d, rows, passed, elapsed)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +412,7 @@ def verify_theorem2(x, d, basis=None, processes=None):
     ctx = BoundaryWeightContext(x, d, basis)
     ids = x.cell_ids(d)
     b_rows = [tuple(row) for row in basis.basis.data]
-    for idx in iter_independent_subsets(b_rows, max_size=b):
+    for idx, _ in independent_subsets(b_rows, b):
         k = b - len(idx)
         subset = CellSubset(d, [ids[i] for i in idx])
         w = boundary_weight(x, d, subset, basis, ctx)
@@ -505,7 +464,10 @@ def verify_kirchhoff_lyons(x, d, processes=None):
             for vcert in enumerate_forests(x, d, "forest_of_size", m):
                 vpos = x.positions(d, vcert.subset.members)
                 rows = [tuple(bd.data[i][j] for j in vpos) for i in range(n_low)]
-                for widx, det_sq in det_squared_leaf_stream(rows, m):
+                # square m x m minors: the Gram determinant is det^2
+                for widx, det_sq in independent_subsets(rows, m):
+                    if len(widx) < m:
+                        continue
                     wsub = CellSubset(d - 1, [ids_low[i] for i in widx])
                     weight = kirchhoff_pair_weight(x, d, vcert.subset, wsub)
                     if weight != det_sq:
@@ -516,11 +478,7 @@ def verify_kirchhoff_lyons(x, d, processes=None):
         notes.append("inner coforest sums collapsed via Cauchy-Binet")
         cols = [tuple(bd.data[i][j] for i in range(n_low))
                 for j in range(bd.cols)]
-        sums = independent_subset_gram_sums(cols, processes)
-        for m, (s, c) in sums.items():
-            if m in rhs:
-                rhs[m][0] += s
-                rhs[m][1] += c
+        rhs.update(independent_subset_gram_sums(cols, b_low, processes))
     rows = []
     passed = True
     for m in range(1, b_low + 1):
@@ -651,33 +609,28 @@ def verify_geometric_theorems(x, d, v0=None, v1=None, processes=None):
     rhs_rows[0] = [1, 0]
     ids_low = x.cell_ids(d)
     ids_up = x.cell_ids(d + 1)
-    for k in range(1, b + 1):
-        for upos in combinations(v1pos, k):
-            if pair_mode:
-                rows_low = [tuple(bd_up.data[i][j] for j in upos)
-                            for i in range(n_low)]
-                usub = CellSubset(d + 1, [ids_up[j] for j in upos])
-                for widx, det_sq in det_squared_leaf_stream(rows_low, k):
-                    comp = CellSubset(d, set(ids_low) -
-                                      {ids_low[i] for i in widx})
-                    order = relative_order(x, usub, comp, d)
-                    if order * order != det_sq:
-                        raise AssertionError("relative order mismatch")
-                    rhs_rows[k][0] += det_sq
-                    rhs_rows[k][1] += 1
-            else:
-                state = []
-                ok = True
-                for j in upos:
-                    vec = tuple(bd_up.data[i][j] for i in range(n_low))
-                    item = gram_state_push(state, vec)
-                    if item is None:
-                        ok = False
-                        break
-                    state.append(item)
-                if ok:
-                    rhs_rows[k][0] += state[-1][2]
-                    rhs_rows[k][1] += 1
+    # V1 is a forest, so every subset U of its columns is independent
+    cols = [tuple(bd_up.data[i][j] for i in range(n_low)) for j in v1pos]
+    for uidx, gram in independent_subsets(cols):
+        k = len(uidx)
+        if pair_mode:
+            upos = [v1pos[u] for u in uidx]
+            rows_low = [tuple(bd_up.data[i][j] for j in upos)
+                        for i in range(n_low)]
+            usub = CellSubset(d + 1, [ids_up[j] for j in upos])
+            for widx, det_sq in independent_subsets(rows_low, k):
+                if len(widx) < k:
+                    continue
+                comp = CellSubset(d, set(ids_low) -
+                                  {ids_low[i] for i in widx})
+                order = relative_order(x, usub, comp, d)
+                if order * order != det_sq:
+                    raise AssertionError("relative order mismatch")
+                rhs_rows[k][0] += det_sq
+                rhs_rows[k][1] += 1
+        else:
+            rhs_rows[k][0] += gram
+            rhs_rows[k][1] += 1
     if not pair_mode:
         notes.append("boundary inner coforest sums collapsed via Cauchy-Binet")
     for k in range(b + 1):

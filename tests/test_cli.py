@@ -57,6 +57,15 @@ def test_malformed_file_exits_2(capsys, tmp_path):
     assert "ghost" in err
 
 
+def test_bad_process_count_exits_2(capsys, monkeypatch, corpus_dir):
+    for value in ("0", "-3", "abc"):
+        monkeypatch.setenv("CELLMESH_PROCESSES", value)
+        code, out, err = invoke(capsys, "verify", str(corpus_dir / "k4.json"),
+                                "--theorem", "trent", "--dim", "1")
+        assert code == 2 and out == ""
+        assert "CELLMESH_PROCESSES" in err and repr(value) in err
+
+
 def test_usage_error_exits_2(capsys):
     assert run(["verify"]) == 2
     assert run(["bogus-subcommand"]) == 2

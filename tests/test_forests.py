@@ -10,10 +10,9 @@ from cellmesh.complexes import CellSubset, ComplexFormatError, boundary_matrix, 
 from cellmesh.corpus import RP2_FACES
 from cellmesh.forests import (BoundaryWeightContext, CycleWeightContext,
                               boundary_weight, classify, cycle_weight,
-                              det_squared_leaf_stream, enumerate_forests,
-                              kirchhoff_pair_weight)
+                              enumerate_forests, kirchhoff_pair_weight)
 from cellmesh.homology import integral_boundary_basis, integral_cycle_basis
-from cellmesh.intmat import IntMatrix, det_bareiss, gram_det, kernel_basis, rank, invariant_factor_product
+from cellmesh.intmat import IntMatrix, gram_det, kernel_basis, rank, invariant_factor_product
 from conftest import random_int_matrix
 
 
@@ -256,16 +255,3 @@ def test_covolume_cokernel_kernel_identity(rng):
         assert direct == c * c * gram_det(k), (u.data, direct, c, k.data)
         done += 1
 
-
-def test_det_squared_leaf_stream_oracle(rng):
-    for _ in range(100):
-        n = rng.randint(1, 7)
-        m = rng.randint(1, min(4, n))
-        vecs = [tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(n)]
-        got = dict(det_squared_leaf_stream(vecs, m))
-        for idx in combinations(range(n), m):
-            d = det_bareiss([list(vecs[i]) for i in idx])
-            if d:
-                assert got[idx] == d * d
-            else:
-                assert idx not in got

@@ -1,23 +1,25 @@
 """Mesh matrices, Laplacians, and the theorem verifiers on the corpus."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from cellmesh.complexes import (CellSubset, ComplexFormatError,
                                 WeightAssignment, boundary_matrix, simplex_id)
 from cellmesh.corpus import RP2_FACES
-from cellmesh.forests import CycleWeightContext
+from cellmesh.forests import CycleWeightContext, cycle_weight, enumerate_forests
 from cellmesh.homology import (LatticeBasis, integral_boundary_basis,
                                integral_cycle_basis)
-from cellmesh.intmat import (char_poly, char_poly_rational,
-                             principal_minor_sum)
+from cellmesh.intmat import (IntMatrix, char_poly, char_poly_rational,
+                             det_bareiss, gram_det, principal_minor_sum)
 from cellmesh.spectra import (combinatorial_laplacian, geometric_boundary_basis,
                               geometric_cycle_basis, gram_state_push,
-                              greedy_spanning_forest, mesh_matrix_boundaries,
-                              mesh_matrix_cycles, verify_geometric_theorems,
-                              verify_kirchhoff_lyons, verify_theorem1,
-                              verify_theorem2, weighted_laplacian)
+                              greedy_spanning_forest, independent_subsets,
+                              mesh_matrix_boundaries, mesh_matrix_cycles,
+                              verify_geometric_theorems, verify_kirchhoff_lyons,
+                              verify_theorem1, verify_theorem2,
+                              weighted_laplacian)
 from conftest import random_unimodular
 
 SMALL = [("k3", 1), ("k4", 1), ("theta", 1), ("p2", 1), ("delta3", 1),
@@ -266,29 +268,111 @@ def test_hodge_consistency(corpus):
                 assert sig_down == sig_up, (name, d, k)
 
 
-def test_verifier_process_count_determinism(corpus):
+def force_pool(monkeypatch):
+    """Send every enumeration with processes > 1 to the pool; returns the
+    list that records each entry into _run_parallel."""
+    import cellmesh.spectra as spectra
+    entered = []
+    run_parallel = spectra._run_parallel
+
+    def recorded(fn, arg_list, processes):
+        entered.append(len(arg_list))
+        return run_parallel(fn, arg_list, processes)
+    monkeypatch.setattr(spectra, "_POOL_MIN_SUBSETS", 0)
+    monkeypatch.setattr(spectra, "_run_parallel", recorded)
+    return entered
+
+
+def test_verifier_process_count_determinism(corpus, monkeypatch):
     # delegating to worker processes must not change any reported value
     x = corpus["rp2"]
-    serial = verify_kirchhoff_lyons(x, 2, processes=1)
-    parallel = verify_kirchhoff_lyons(x, 2, processes=2)
-    strip = lambda rows: [{k: v for k, v in row.items()} for row in rows]
-    assert strip(serial.rows) == strip(parallel.rows)
+    entered = force_pool(monkeypatch)
+    serial = [verify_theorem1(x, 1, processes=1),
+              verify_kirchhoff_lyons(x, 2, processes=1)]
+    assert entered == []
+    pooled = [verify_theorem1(x, 1, processes=2),
+              verify_kirchhoff_lyons(x, 2, processes=2)]
+    assert entered == [15, 10]  # one task per first row / column
+    for one, many in zip(serial, pooled):
+        assert one.passed and one.rows == many.rows
 
 
-def test_theorem1_fast_path_matches_full_path(corpus, monkeypatch):
-    # force the cokernel-identity fast path on a torsional complex and compare
-    # every row against the fully independent per-subset double computation,
-    # for both worker counts
-    import cellmesh.spectra as spectra
+def test_theorem1_matches_cycle_weight_oracle(corpus, monkeypatch):
+    # the oracle sums the two-route cycle_weight over the k-augmented
+    # spanning forests, the complements of the independent row subsets of
+    # the cycle matrix, as enumerate_forests lists them; the verifier must
+    # reproduce every row serially and in the pool, on a torsional complex
     x = corpus["rp2"]
-    slow = verify_theorem1(x, 1)
-    monkeypatch.setattr(spectra, "_FAST_SUBSET_THRESHOLD", 1)
-    fast_serial = spectra.verify_theorem1(x, 1, processes=1)
-    fast_parallel = spectra.verify_theorem1(x, 1, processes=2)
-    pick = lambda rows: [(r["k"], r["lhs"], r["rhs"], r["certificates"])
-                         for r in rows]
-    assert pick(slow.rows) == pick(fast_serial.rows) == pick(fast_parallel.rows)
-    assert slow.passed and fast_serial.passed and fast_parallel.passed
+    z = integral_cycle_basis(x, 1)
+    ctx = CycleWeightContext(x, 1, z)
+    oracle = {z.rank: (1, 0)}
+    for k in range(z.rank):
+        weights = [cycle_weight(x, 1, cert.subset, z, ctx).weight
+                   for cert in enumerate_forests(x, 1, "k_augmented", k)]
+        oracle[k] = (sum(weights), len(weights))
+    serial = verify_theorem1(x, 1, z, processes=1)
+    entered = force_pool(monkeypatch)
+    pooled = verify_theorem1(x, 1, z, processes=2)
+    assert entered
+    for report in (serial, pooled):
+        assert report.passed
+        assert {r["k"]: (r["rhs"], r["certificates"]) for r in report.rows} == oracle
+
+
+def test_theorem1_rejects_doubled_cycle_column(corpus, monkeypatch):
+    # Cauchy-Binet balances the rows for any matrix, so only the leaf check
+    # sees that a doubled column spans a non-saturated lattice
+    x = corpus["k4"]
+    data = [row[:] for row in integral_cycle_basis(x, 1).basis.data]
+    for row in data:
+        row[0] *= 2
+    bad = LatticeBasis(1, IntMatrix.from_rows(data), "cycles")
+    entered = force_pool(monkeypatch)
+    for processes in (1, 2):
+        try:
+            report = verify_theorem1(x, 1, bad, processes=processes)
+        except AssertionError:
+            continue
+        assert not report.passed
+    assert entered
+
+
+def test_pool_failure_falls_back_to_serial(corpus, monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise OSError("cannot start workers")
+    x = corpus["rp2"]
+    serial = verify_kirchhoff_lyons(x, 2, processes=1)
+    entered = force_pool(monkeypatch)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    fallback = verify_kirchhoff_lyons(x, 2, processes=2)
+    assert entered and fallback.rows == serial.rows
+
+
+def test_independent_subsets_oracle(rng):
+    # every independent subset with its Gram determinant, against brute
+    # force over all subsets; square ones also against det_bareiss squared
+    for _ in range(100):
+        n = rng.randint(1, 7)
+        m = rng.randint(1, min(4, n))
+        vecs = [tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(n)]
+        got = list(independent_subsets(vecs))
+        assert [idx for idx, _ in got] == sorted(idx for idx, _ in got)
+        grams = dict(got)
+        for size in range(1, n + 1):
+            for idx in combinations(range(n), size):
+                cols = IntMatrix.from_rows([list(vecs[i]) for i in idx]).transpose()
+                g = gram_det(cols) if size <= m else 0
+                assert grams.get(idx, 0) == g, (vecs, idx)
+                if size == m:
+                    assert g == det_bareiss([list(vecs[i]) for i in idx]) ** 2
+        cap = rng.randint(0, m)
+        assert list(independent_subsets(vecs, cap)) == [
+            item for item in got if len(item[0]) <= cap]
+        # the runs split by smallest index, as the pool runs them
+        assert [item for i in range(n)
+                for item in independent_subsets(vecs, first=i)] == got
 
 
 def test_report_serialization_strings(corpus):
