@@ -4,10 +4,14 @@ Matrices are thin wrappers around lists of Python ints (IntMatrix) or
 fractions.Fraction (RatMatrix); every routine is pure and returns fresh
 objects.  No floating point anywhere.  Empty shapes (0xn, nx0, 0x0) are
 legal throughout, with the empty-product conventions det(0x0) = 1 and
-char poly of the 0x0 matrix = 1.
+char poly of the 0x0 matrix = 1.  Characteristic polynomials, of either
+matrix type, come from one integer Faddeev-LeVerrier kernel, denominators
+cleared by their lcm.
 """
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 
 class IntMatrix:
@@ -73,10 +77,6 @@ class IntMatrix:
     def is_zero(self):
         return all(all(x == 0 for x in row) for row in self.data)
 
-    def to_rational(self):
-        return RatMatrix(self.rows, self.cols,
-                         [[Fraction(x) for x in row] for row in self.data])
-
     def det(self):
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
@@ -101,11 +101,6 @@ class RatMatrix:
         rows = len(data)
         cols = len(data[0]) if rows else 0
         return cls(rows, cols, data)
-
-    @classmethod
-    def identity(cls, n):
-        one, zero = Fraction(1), Fraction(0)
-        return cls(n, n, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -603,50 +598,78 @@ def gram_det(b):
     return det_bareiss(g)
 
 
+def _faddeev_leverrier(a):
+    """Characteristic coefficients [c_0, ..., c_n] of a square list of int rows.
+
+    Every M_k of the recursion is an integer matrix, so each division of its
+    trace by k is exact; a nonzero remainder means the kernel is broken and
+    raises ArithmeticError.
+    """
+    n = len(a)
+    coeffs = [0] * n + [1]
+    mk = [row[:] for row in a]  # M_1 = A
+    for k in range(1, n + 1):
+        trace = sum(mk[i][i] for i in range(n))
+        c, rem = divmod(-trace, k)
+        if rem:
+            raise ArithmeticError(f"trace {trace} of M_{k} is not divisible by {k}")
+        coeffs[n - k] = c
+        if k == n:
+            break
+        # M_{k+1} = A (M_k + c I)
+        for i in range(n):
+            mk[i][i] += c
+        cols = list(zip(*mk))
+        mk = [[sum(map(mul, row, col)) for col in cols] for row in a]
+    return coeffs
+
+
+def clear_denominators(m, extra=()):
+    """(D, D*M as a list of int rows), D the lcm of the entry denominators.
+
+    The denominators of the ints or Fractions in `extra` enter the lcm too.
+    Works for IntMatrix (D = 1) and RatMatrix.
+    """
+    d = lcm(*{x.denominator for row in m.data for x in row},
+            *(x.denominator for x in extra))
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in m.data]
+
+
 def char_poly(m):
     """Exact characteristic polynomial det(t*Id - M) of a square matrix.
 
-    Computed by the Faddeev-LeVerrier recursion over rationals (the interior
-    divisions by 1..n are exact); every coefficient must come out an integer
-    or ValueError is raised, signalling caller misuse.  The 0x0 matrix gives
-    the constant polynomial 1.
+    Integer Faddeev-LeVerrier, denominators cleared by their lcm.  For a
+    RatMatrix every coefficient must come out an integer or ValueError is
+    raised, signalling caller misuse.  The 0x0 matrix gives the constant
+    polynomial 1.
     """
-    coeffs = char_poly_rational(m)
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise ValueError(f"non-integral characteristic coefficient {c}")
-        out.append(int(c))
-    return IntPolynomial(out)
+    if not isinstance(m, IntMatrix):
+        out = []
+        for c in char_poly_rational(m):
+            if c.denominator != 1:
+                raise ValueError(f"non-integral characteristic coefficient {c}")
+            out.append(int(c))
+        return IntPolynomial(out)
+    if m.rows != m.cols:
+        raise ValueError("characteristic polynomial of a non-square matrix")
+    return IntPolynomial(_faddeev_leverrier(m.data))
 
 
 def char_poly_rational(m):
-    """Faddeev-LeVerrier characteristic coefficients over Fractions.
+    """Characteristic coefficients as Fractions, by integer Faddeev-LeVerrier
+    with the denominators cleared by their lcm.
 
     Returns [c_0, ..., c_n] with det(t*Id - M) = sum c_k t^k, c_n = 1.
-    Accepts IntMatrix or RatMatrix; works for non-symmetric input.
+    Accepts IntMatrix or RatMatrix; works for non-symmetric input.  With D
+    the lcm of the entry denominators, D*M is integral and its coefficients
+    are c_k * D^(n-k).
     """
     if m.rows != m.cols:
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = m.rows
-    if n == 0:
-        return [Fraction(1)]
-    a = [[Fraction(x) for x in row] for row in m.data]
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    mk = [row[:] for row in a]
-    for k in range(1, n + 1):
-        trace = sum(mk[i][i] for i in range(n))
-        c = -trace / k
-        coeffs[n - k] = c
-        if k == n:
-            break
-        # mk <- A (mk + c I)
-        for i in range(n):
-            mk[i][i] += c
-        mk = [[sum(a[i][l] * mk[l][j] for l in range(n)) for j in range(n)]
-              for i in range(n)]
-    return coeffs
+    d, scaled = clear_denominators(m)
+    return [Fraction(c, d ** (n - k))
+            for k, c in enumerate(_faddeev_leverrier(scaled))]
 
 
 def principal_minor_sum(m, k):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import comb, prod
 
 from .complexes import (ComplexFormatError, boundary_matrix, standard_simplex)
-from .intmat import IntMatrix, RatMatrix, det_rational
+from .intmat import IntMatrix, RatMatrix, clear_denominators, det_bareiss
 from .spectra import VerificationReport
 
 MAX_SIMPLEX_VERTICES = 9
@@ -238,29 +238,33 @@ def verify_kalai(n, k, kind, weights=None):
     rows.append({"k": k, "check": "multiplicities", "lhs": spectrum.dimension(),
                  "rhs": comb(n - 1, k), "pass": mult_ok})
 
-    if isinstance(matrix, IntMatrix):
-        work = matrix.to_rational()
-    else:
-        work = matrix
-    ann = RatMatrix.identity(dim)
+    # one common denominator D for the matrix and the eigenvalues: every
+    # shift D*M - D*lambda*I is integral, and their product vanishes exactly
+    # when prod (M - lambda I) does
+    scale, work = clear_denominators(
+        matrix, [value for value, _ in spectrum.eigenvalues])
+    shifts = []
     for value, _ in spectrum.eigenvalues:
-        shifted = RatMatrix(dim, dim,
-                            [[work.data[i][j] - (value if i == j else 0)
-                              for j in range(dim)] for i in range(dim)])
+        shift = int(value * scale)
+        shifts.append(IntMatrix(dim, dim, [[x - shift if i == j else x
+                                            for j, x in enumerate(row)]
+                                           for i, row in enumerate(work)]))
+    ann = shifts[0]
+    for shifted in shifts[1:]:
         ann = ann.mul(shifted)
-    ann_ok = all(x == 0 for row in ann.data for x in row)
+    ann_ok = ann.is_zero()
     passed &= ann_ok
     rows.append({"k": k, "check": "annihilating_polynomial",
                  "lhs": "zero-matrix" if ann_ok else "nonzero",
                  "rhs": "zero-matrix", "pass": ann_ok})
 
-    tr = sum(work.data[i][i] for i in range(dim))
+    tr = Fraction(sum(work[i][i] for i in range(dim)), scale)
     tr_ok = tr == spectrum.trace()
     passed &= tr_ok
     rows.append({"k": k, "check": "trace", "lhs": tr, "rhs": spectrum.trace(),
                  "pass": tr_ok})
 
-    det = det_rational([row[:] for row in work.data])
+    det = Fraction(det_bareiss([row[:] for row in work]), scale ** dim)
     det_ok = det == spectrum.determinant()
     passed &= det_ok
     rows.append({"k": k, "check": "determinant", "lhs": det,

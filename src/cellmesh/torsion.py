@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .complexes import ComplexFormatError, boundary_matrix_above, skeleton
 from .homology import homology_covolume_squared, torsion_order
-from .intmat import principal_minor_sum, rank
+from .intmat import char_poly, rank
 
 
 class TorsionReport:
@@ -56,10 +56,12 @@ class TorsionReport:
 def reduced_laplacian_det(x, i):
     """Product of the nonzero eigenvalues of the degree-i up-Laplacian.
 
-    Evaluated as the r-th elementary symmetric function of the matrix of
-    boundary-composed-with-adjoint, r being the boundary rank; by
-    Cauchy-Binet this is the sum of squared maximal minors, an integer.
-    Equals 1 when there are no (i+1)-cells.
+    With r the boundary rank this is the r-th elementary symmetric function
+    of L = boundary * boundary^t, read off the characteristic polynomial
+    (integer Faddeev-LeVerrier, denominators cleared by their lcm) as
+    (-1)^r times the coefficient of t^(n-r).  By Cauchy-Binet it is the sum
+    of squared maximal minors, an integer.  Equals 1 when there are no
+    (i+1)-cells.
     """
     if not 0 <= i <= x.dimension:
         raise ComplexFormatError(f"dimension {i} out of range 0..{x.dimension}")
@@ -68,36 +70,39 @@ def reduced_laplacian_det(x, i):
     if r == 0:
         return 1
     lap = upper.mul(upper.transpose())
-    return int(principal_minor_sum(lap, r))
+    return (-1) ** r * char_poly(lap).coefficient(lap.rows - r)
+
+
+def _alternating_product(values):
+    """values[0] / values[1] * values[2] / ... as a Fraction."""
+    out = Fraction(1)
+    for i, v in enumerate(values):
+        if i % 2:
+            out /= v
+        else:
+            out *= v
+    return out
 
 
 def rf_combinatorial(x):
     """Squared alternating product of the homology torsion orders."""
-    value = Fraction(1)
-    for i in range(x.dimension + 1):
-        t = torsion_order(x, i)
-        if i % 2:
-            value /= t * t
-        else:
-            value *= t * t
-    return value
+    return _alternating_product([torsion_order(x, i) ** 2
+                                 for i in range(x.dimension + 1)])
 
 
 def rf_laplacian(x):
     """Squared torsion via reduced Laplacian determinants and covolumes."""
-    value = Fraction(1)
-    for i in range(x.dimension + 1):
-        factor = Fraction(reduced_laplacian_det(x, i)) * \
-            homology_covolume_squared(x, i)
-        if i % 2:
-            value /= factor
-        else:
-            value *= factor
-    return value
+    return _alternating_product(
+        [reduced_laplacian_det(x, i) * homology_covolume_squared(x, i)
+         for i in range(x.dimension + 1)])
 
 
 def verify_rf_identity(x):
-    """Check the torsion identity for the complex and all its skeleta."""
+    """Check the torsion identity for the complex and all its skeleta.
+
+    The factors of x give both sides for x and for its top skeleton row; each
+    lower skeleton is computed from its own cells.
+    """
     start = time.monotonic()
     factors = []
     for i in range(x.dimension + 1):
@@ -107,16 +112,18 @@ def verify_rf_identity(x):
             "reduced_laplacian_det": reduced_laplacian_det(x, i),
             "homology_covolume_sq": homology_covolume_squared(x, i),
         })
-    lhs = rf_combinatorial(x)
-    rhs = rf_laplacian(x)
+    lhs = _alternating_product([f["torsion_order"] ** 2 for f in factors])
+    rhs = _alternating_product(
+        [f["reduced_laplacian_det"] * f["homology_covolume_sq"] for f in factors])
     passed = lhs == rhs
     skeleta = []
-    for d in range(x.dimension + 1):
-        sk = skeleton(x, d) if d < x.dimension else x
+    for d in range(x.dimension):
+        sk = skeleton(x, d)
         a = rf_combinatorial(sk)
         b = rf_laplacian(sk)
         ok = a == b
         passed = passed and ok
         skeleta.append((d, a, b, ok))
+    skeleta.append((x.dimension, lhs, rhs, lhs == rhs))
     elapsed = (time.monotonic() - start) * 1000.0
     return TorsionReport(x.name, factors, lhs, rhs, skeleta, passed, elapsed)

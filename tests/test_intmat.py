@@ -186,6 +186,39 @@ def test_char_poly_vs_minor_oracle(rng):
             assert p.coefficient(n - k) == (-1) ** k * principal_minor_sum(m, k)
 
 
+def _sympy_char_coeffs(sympy, m):
+    """sympy's charpoly of m, constant coefficient first, as Fractions."""
+    poly = sympy.Matrix(m.rows, m.cols,
+                        lambda i, j: sympy.Rational(m.data[i][j].numerator,
+                                                    m.data[i][j].denominator))
+    coeffs = poly.charpoly(sympy.Symbol("t")).all_coeffs()[::-1]
+    return [Fraction(int(c.p), int(c.q)) for c in coeffs]
+
+
+def test_char_poly_sympy_oracle(corpus):
+    # an implementation that shares no code with the Faddeev-LeVerrier kernel
+    sympy = pytest.importorskip("sympy")
+    from cellmesh.complexes import WeightAssignment
+    from cellmesh.spectra import weighted_laplacian
+    rng = random.Random(104)
+    for n in range(13):  # non-symmetric integer matrices up to 12 x 12
+        m = random_int_matrix(rng, n, n, -9, 9)
+        expected = _sympy_char_coeffs(sympy, m)
+        assert list(char_poly(m).coeffs) == expected, n
+        assert char_poly_rational(m) == expected, n
+    primes = [1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049]
+    for n in range(1, 8):  # large coprime denominators
+        m = RatMatrix.from_rows(
+            [[Fraction(rng.randint(-50, 50), rng.choice(primes)) for _ in range(n)]
+             for _ in range(n)])
+        assert char_poly_rational(m) == _sympy_char_coeffs(sympy, m), n
+    x = corpus["rp2"]
+    weights = WeightAssignment({cid: Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                                for d in (0, 1) for cid in x.cell_ids(d)})
+    lap = weighted_laplacian(x, 1, weights).matrix
+    assert char_poly_rational(lap) == _sympy_char_coeffs(sympy, lap)
+
+
 # --- the four algebraic lemma suites ----------------------------------------
 
 def test_cauchy_binet_suite():

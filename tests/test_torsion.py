@@ -6,9 +6,8 @@ import pytest
 
 from cellmesh.complexes import ComplexFormatError
 from cellmesh.corpus import point
-from cellmesh.intmat import char_poly, rank
+from cellmesh.intmat import principal_minor_sum, rank
 from cellmesh.complexes import boundary_matrix_above
-from cellmesh.spectra import combinatorial_laplacian
 from cellmesh.torsion import (reduced_laplacian_det, rf_combinatorial,
                               rf_laplacian, verify_rf_identity)
 
@@ -22,18 +21,14 @@ def test_reduced_laplacian_det_examples(corpus):
         reduced_laplacian_det(corpus["k3"], 2)
 
 
-def test_reduced_laplacian_det_matches_char_poly(corpus):
-    # the product of nonzero eigenvalues is the leading nonzero elementary
-    # symmetric function of the Laplacian characteristic polynomial
+def test_reduced_laplacian_det_matches_principal_minor_sum(corpus):
+    # the char-poly coefficient against the Cauchy-Binet route: the r-th sum
+    # of principal minors of the same Laplacian, r the boundary rank
     for name, x in corpus.items():
-        for i in range(x.dimension):
-            r = rank(boundary_matrix_above(x, i))
-            if r == 0:
-                assert reduced_laplacian_det(x, i) == 1
-                continue
-            lap = combinatorial_laplacian(x, i + 1).matrix
-            p = char_poly(lap)
-            sigma_r = (-1) ** r * p.coefficient(lap.rows - r)
+        for i in range(x.dimension + 1):
+            upper = boundary_matrix_above(x, i)
+            lap = upper.mul(upper.transpose())
+            sigma_r = principal_minor_sum(lap, rank(upper))
             assert reduced_laplacian_det(x, i) == sigma_r, (name, i)
 
 
@@ -76,3 +71,16 @@ def test_rf_combinatorial_ignores_basis_choice(corpus):
     shuffled = CellComplex("rp2-shuffled", 2, cells, check=False)
     assert rf_combinatorial(shuffled) == rf_combinatorial(x)
     assert rf_laplacian(shuffled) == rf_laplacian(x)
+
+
+def test_rf_identity_rejects_scaled_laplacian_det(corpus, monkeypatch):
+    # 4x every reduced Laplacian determinant leaves a net factor 4 on the
+    # Laplacian side of an even-dimensional complex: a failing report, no raise
+    import cellmesh.torsion as torsion
+    orig = torsion.reduced_laplacian_det
+    monkeypatch.setattr(torsion, "reduced_laplacian_det",
+                        lambda x, i: 4 * orig(x, i))
+    for name in ("rp2", "sphere2", "moore_z2", "delta5skel2"):
+        report = verify_rf_identity(corpus[name])
+        assert not report.passed, name
+        assert report.lhs != report.rhs, name
