@@ -368,6 +368,10 @@ def run(argv):
     except (ComplexFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (AssertionError, ArithmeticError) as exc:
+        # a verifier's cross-check failed on valid input
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return 1
 
 
 def main():

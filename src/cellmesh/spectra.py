@@ -7,25 +7,30 @@ sides are produced by explicit subset enumeration with exact weights.
 All equality checks are exact; there are no tolerances anywhere.
 
 Every enumeration of independent subsets runs on one engine,
-independent_subsets, a DFS over exact incremental Gram determinants.  At
-each subset trent checks the cokernel-order identity (_trent_leaf_check):
-the torsion ratio t(X_W)/t(X) and the invariant-factor product of the
-chosen cycle-matrix rows are two Smith routes that must agree.
+independent_subsets, a DFS that keeps the later candidates reduced against
+the chosen prefix (matroid contraction) and yields (sorted index tuple,
+Gram determinant, cokernel order).  Each candidate carries a fraction-free
+Gram-Schmidt triple and a Hermite tail; the Gram triple gives the Gram
+determinant, the tail the cokernel order, and the two are independent rank
+routes that must agree at every push.  At each subset trent checks the
+cokernel-order identity (_trent_leaf_check): the torsion ratio t(X_W)/t(X),
+a Smith computation on the boundary coordinates of W, must equal the
+engine's cokernel order of the chosen cycle-matrix rows.
 """
 
 import os
 import time
 from fractions import Fraction
 from functools import partial
-from math import comb
+from math import comb, gcd
+from operator import mul
 
 from .complexes import CellSubset, ComplexFormatError, boundary_matrix, boundary_matrix_above
 from .forests import (BoundaryWeightContext, CycleWeightContext, boundary_weight,
                       enumerate_forests, greedy_basis, kirchhoff_pair_weight)
 from .homology import (integral_boundary_basis, integral_cycle_basis,
                        rational_solve, relative_order)
-from .intmat import (IntMatrix, RatMatrix, char_poly, char_poly_rational,
-                     invariant_factor_product, rank)
+from .intmat import IntMatrix, RatMatrix, char_poly, char_poly_rational, rank
 
 MESH_KINDS = ("cycles", "boundaries", "laplacian", "weighted_laplacian")
 
@@ -199,10 +204,11 @@ def geometric_boundary_basis(x, d, v1):
 
 
 # ---------------------------------------------------------------------------
-# Fraction-free incremental Gram-Schmidt (running Gram determinants).
+# Fraction-free incremental Gram-Schmidt (running Gram determinants) and the
+# subset engine built on it.
 # ---------------------------------------------------------------------------
 
-def gram_state_push(state, vec):
+def gram_state_push(state, vec, start=0):
     """Push a vector onto an exact Gram-Schmidt state.
 
     state is a list of (w, norm, gram) triples where w is the scaled
@@ -210,15 +216,20 @@ def gram_state_push(state, vec):
     of all vectors pushed so far.  Returns the new triple, or None when vec
     is linearly dependent on the pushed vectors.  All arithmetic is integer;
     the interior divisions are exact (Bareiss on the Gram matrix).
+
+    With start > 0, vec must be the w of a push onto state[:start]; only the
+    steps from state[start] on are taken, and the result is the triple a
+    push of the original vector onto the whole state returns.
     """
     v = list(vec)
-    prev_gram = 1
-    for w, norm, gram_val in state:
-        dot = sum(a * b for a, b in zip(v, w))
+    prev_gram = state[start - 1][2] if start else 1
+    for k in range(start, len(state)):
+        w, norm, gram_val = state[k]
+        dot = sum(map(mul, v, w))
         div = prev_gram * prev_gram
         v = [(norm * a - dot * b) // div for a, b in zip(v, w)]
         prev_gram = gram_val
-    nrm = sum(a * a for a in v)
+    nrm = sum(map(mul, v, v))
     if nrm == 0:
         return None
     # v is gram_{j-1} times the orthogonal component, so <v, v> splits as
@@ -226,36 +237,132 @@ def gram_state_push(state, vec):
     return (v, nrm, nrm // prev_gram)
 
 
+def _xgcd(a, b):
+    """(g, x, y) with x*a + y*b = g, where |g| = gcd(a, b)."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
+
+
+def _pivot_ops(tail):
+    """Unimodular column operations that clear a nonzero row `tail` down
+    to one column.
+
+    Returns (p, ops): p is the pivot column, and each (c, x, y, u, v) in ops
+    maps columns (p, c) to (x col_p + y col_c, u col_p + v col_c), a 2x2
+    map of determinant 1.  After all of them `tail` is zero outside p.
+    """
+    if 1 in tail:
+        p = tail.index(1)
+    elif -1 in tail:
+        p = tail.index(-1)
+    else:
+        p = min((i for i, a in enumerate(tail) if a), key=lambda i: abs(tail[i]))
+    a = tail[p]
+    ops = []
+    for c, b in enumerate(tail):
+        if b and c != p:
+            if b % a == 0:
+                ops.append((c, 1, 0, -(b // a), 1))
+            else:
+                g, x, y = _xgcd(a, b)
+                ops.append((c, x, y, -(b // g), a // g))
+                a = g
+    return p, ops
+
+
+def _contract(state, pivot_tail, cands):
+    """The candidates reduced against a prefix, contracted by its last
+    member.
+
+    Each candidate (j, (w, norm, gram), tail) is taken one Gram step
+    further, onto state[-1], and its tail through the column operations
+    that clear pivot_tail, with the pivot column dropped.  A candidate that
+    becomes dependent is dropped; its zero norm and its zero tail are two
+    independent rank routes and must agree.
+    """
+    start = len(state) - 1
+    p, ops = _pivot_ops(pivot_tail)
+    out = []
+    for j, (w, _, _), tail in cands:
+        item = gram_state_push(state, w, start)
+        t = list(tail)
+        sp = t[p]
+        for c, x, y, u, v in ops:
+            sc = t[c]
+            sp, t[c] = x * sp + y * sc, u * sp + v * sc
+        del t[p]
+        if (item is None) == any(t):
+            raise AssertionError(f"rank routes disagree on candidate {j}")
+        if item is not None:
+            out.append((j, item, t))
+    return out
+
+
 def independent_subsets(vectors, max_size=None, first=None):
     """Every nonempty linearly independent subset of `vectors` with at most
-    `max_size` members, as (sorted index tuple, Gram determinant), in
-    lexicographic DFS order.
+    `max_size` members, as (sorted index tuple, Gram determinant, cokernel
+    order), in lexicographic DFS order.
 
-    This is the one subset-enumeration engine of the verifiers: a DFS over
-    gram_state_push in which a dependent push prunes its whole subtree.
+    This is the one subset-enumeration engine of the verifiers: a DFS that
+    keeps, at each node, the later candidates reduced against the chosen
+    prefix (matroid contraction).  A candidate carries two reductions:
+      * its gram_state_push triple (w, norm, gram) over the prefix, so its
+        Gram determinant is known before it is visited;
+      * its tail, the row after the prefix's unimodular column operations
+        with the prefix's pivot columns dropped, so the cokernel order of
+        the chosen rows (the gcd of their maximal minors, the invariant-
+        factor product) is the parent's order times gcd(tail): the
+        diagonal of a column Hermite form, built one row at a time.
+    Descending into a node contracts each later candidate by one step of
+    both.  A candidate whose norm or tail becomes zero is dependent on the
+    prefix and is dropped for the whole subtree; the two rank routes must
+    agree, or AssertionError is raised.
+
     With `first` set only the subsets whose smallest index is `first` are
     visited, so the runs for first = 0, 1, ... split the enumeration in
     order.
     """
     n = len(vectors)
     cap = n if max_size is None else max_size
+    if cap < 1:
+        return
+    lo = 0 if first is None else first
+    top = []
+    for j in range(lo, n):
+        item = gram_state_push([], vectors[j])
+        if item is not None:
+            top.append((j, item, list(vectors[j])))
     stop = n if first is None else first + 1  # bound on the smallest index
-    state = []
-    chosen = []
-    i = 0 if first is None else first
+    frames = [[top, 0, sum(1 for cand in top if cand[0] < stop)]]
+    chosen, state, coks = [], [], [1]
     while True:
-        if len(chosen) < cap and i < (n if chosen else stop):
-            item = gram_state_push(state, vectors[i])
-            if item is not None:
-                state.append(item)
-                chosen.append(i)
-                yield tuple(chosen), item[2]
-            i += 1
-        elif chosen:
+        frame = frames[-1]
+        cands, pos, limit = frame
+        if pos == limit:
+            frames.pop()
+            if not frames:
+                return
+            chosen.pop()
             state.pop()
-            i = chosen.pop() + 1
+            coks.pop()
+            continue
+        frame[1] = pos + 1
+        j, item, tail = cands[pos]
+        chosen.append(j)
+        cok = coks[-1] * gcd(*tail)
+        yield tuple(chosen), item[2], cok
+        if len(chosen) < cap and pos + 1 < len(cands):
+            state.append(item)
+            coks.append(cok)
+            kids = _contract(state, tail, cands[pos + 1:])
+            frames.append([kids, 0, len(kids)])
         else:
-            return
+            chosen.pop()
 
 
 # Above this many subsets (bounded by sum_{j <= rank} C(n, j)) an
@@ -267,8 +374,9 @@ def independent_subset_gram_sums(vectors, rank_cap, processes=1, check=None):
     """Sum of Gram determinants over all nonempty independent subsets.
 
     Returns {size: [sum_of_gram_dets, subset_count]}.  `rank_cap` bounds the
-    rank of `vectors`.  `check(index tuple, gram)`, when given, runs at
-    every subset and raises on a failed identity; it must be picklable.
+    rank of `vectors`.  `check(index tuple, gram, cokernel order)`, when
+    given, runs at every subset and raises on a failed identity; it must be
+    picklable.
     The subsets are split by smallest index over `processes` workers when
     processes > 1 and sum_{j <= rank_cap} C(n, j) > _POOL_MIN_SUBSETS; the
     result is the same for any process count.
@@ -292,9 +400,9 @@ def independent_subset_gram_sums(vectors, rank_cap, processes=1, check=None):
 def _subset_gram_sums(args):
     vectors, rank_cap, first, check = args
     out = {}
-    for idx, gram in independent_subsets(vectors, rank_cap, first):
+    for idx, gram, cok in independent_subsets(vectors, rank_cap, first):
         if check is not None:
-            check(idx, gram)
+            check(idx, gram, cok)
         acc = out.setdefault(len(idx), [0, 0])
         acc[0] += gram
         acc[1] += 1
@@ -332,15 +440,16 @@ def default_processes():
 # Theorem 1: cycle mesh matrix vs k-augmented spanning forests.
 # ---------------------------------------------------------------------------
 
-def _trent_leaf_check(ctx, chosen, gram):
+def _trent_leaf_check(ctx, chosen, gram, cok):
     """Trent's leaf check, the cokernel-order identity.
 
     The rows `chosen` of the cycle matrix are independent, so their
     complement W is a k-augmented spanning forest whose weight is `gram`,
-    the Gram determinant of those rows.  Two Smith routes must agree: the
-    torsion ratio t(X_W)/t(X), read off the boundary coordinates of W, and
-    the invariant-factor product of the chosen rows.  The weight must also
-    be divisible by the squared ratio.
+    the Gram determinant of those rows.  Two independent routes must agree:
+    the torsion ratio t(X_W)/t(X), a Smith computation on the boundary
+    coordinates of W, and `cok`, the cokernel order of the chosen rows that
+    the engine carries down its Hermite tails.  The weight must also be
+    divisible by the squared ratio.
     """
     taken = set(chosen)
     t_w = ctx.torsion_subcomplex([j for j in range(ctx.a.rows) if j not in taken])
@@ -348,7 +457,6 @@ def _trent_leaf_check(ctx, chosen, gram):
         raise AssertionError(
             f"torsion ratio {t_w}/{ctx.t_x} is not an integer on rows {list(chosen)}")
     ratio = t_w // ctx.t_x
-    cok = invariant_factor_product([list(ctx.a.data[i]) for i in chosen])
     if cok != ratio:
         raise AssertionError(
             f"cokernel order {cok} != torsion ratio {ratio} on rows {list(chosen)}")
@@ -363,8 +471,9 @@ def verify_theorem1(x, d, basis=None, processes=None):
     The forests are the complements of the independent row subsets of the
     cycle matrix, and a forest's weight is the Gram determinant of those
     rows.  Every subset must pass trent's leaf check, the cokernel-order
-    identity (_trent_leaf_check): t(X_W)/t(X) equal to the invariant-factor
-    product of the chosen rows, whose square divides the weight.
+    identity (_trent_leaf_check): t(X_W)/t(X) equal to the cokernel order
+    of the chosen rows that the engine yields, whose square divides the
+    weight.
     """
     start = time.monotonic()
     if processes is None:
@@ -398,10 +507,28 @@ def verify_theorem1(x, d, basis=None, processes=None):
 # Theorem 2: boundary mesh matrix vs k-reduced spanning coforests.
 # ---------------------------------------------------------------------------
 
+def _boundary_leaf_check(ctx, basis, chosen, gram, cok):
+    """Theorem 2's leaf check: the rows `chosen` of the boundary matrix are
+    a k-reduced spanning coforest, whose two-route boundary_weight must
+    equal the Gram determinant `gram` of those rows."""
+    ids = ctx.x.cell_ids(ctx.d)
+    subset = CellSubset(ctx.d, [ids[i] for i in chosen])
+    weight = boundary_weight(ctx.x, ctx.d, subset, basis, ctx).weight
+    if weight != gram:
+        raise AssertionError(
+            f"boundary weight {weight} != Gram determinant {gram} on rows {list(chosen)}")
+
+
 def verify_theorem2(x, d, basis=None, processes=None):
     """Check the boundary mesh characteristic polynomial against the
-    weighted sum over k-reduced spanning coforests."""
+    weighted sum over k-reduced spanning coforests.
+
+    The coforests are the independent row subsets of the boundary matrix;
+    every one must pass _boundary_leaf_check.
+    """
     start = time.monotonic()
+    if processes is None:
+        processes = default_processes()
     if basis is None:
         basis = integral_boundary_basis(x, d)
     mesh = mesh_matrix_boundaries(x, d, basis)
@@ -410,14 +537,9 @@ def verify_theorem2(x, d, basis=None, processes=None):
     rhs = {k: [0, 0] for k in range(b + 1)}
     rhs[b] = [1, 0]
     ctx = BoundaryWeightContext(x, d, basis)
-    ids = x.cell_ids(d)
-    b_rows = [tuple(row) for row in basis.basis.data]
-    for idx, _ in independent_subsets(b_rows, b):
-        k = b - len(idx)
-        subset = CellSubset(d, [ids[i] for i in idx])
-        w = boundary_weight(x, d, subset, basis, ctx)
-        rhs[k][0] += w.weight
-        rhs[k][1] += 1
+    sums = independent_subset_gram_sums(ctx.rows, b, processes,
+                                        partial(_boundary_leaf_check, ctx, basis))
+    rhs.update((b - size, acc) for size, acc in sums.items())
     rows = []
     passed = True
     for k in range(b, -1, -1):
@@ -465,7 +587,7 @@ def verify_kirchhoff_lyons(x, d, processes=None):
                 vpos = x.positions(d, vcert.subset.members)
                 rows = [tuple(bd.data[i][j] for j in vpos) for i in range(n_low)]
                 # square m x m minors: the Gram determinant is det^2
-                for widx, det_sq in independent_subsets(rows, m):
+                for widx, det_sq, _ in independent_subsets(rows, m):
                     if len(widx) < m:
                         continue
                     wsub = CellSubset(d - 1, [ids_low[i] for i in widx])
@@ -611,14 +733,14 @@ def verify_geometric_theorems(x, d, v0=None, v1=None, processes=None):
     ids_up = x.cell_ids(d + 1)
     # V1 is a forest, so every subset U of its columns is independent
     cols = [tuple(bd_up.data[i][j] for i in range(n_low)) for j in v1pos]
-    for uidx, gram in independent_subsets(cols):
+    for uidx, gram, _ in independent_subsets(cols):
         k = len(uidx)
         if pair_mode:
             upos = [v1pos[u] for u in uidx]
             rows_low = [tuple(bd_up.data[i][j] for j in upos)
                         for i in range(n_low)]
             usub = CellSubset(d + 1, [ids_up[j] for j in upos])
-            for widx, det_sq in independent_subsets(rows_low, k):
+            for widx, det_sq, _ in independent_subsets(rows_low, k):
                 if len(widx) < k:
                     continue
                 comp = CellSubset(d, set(ids_low) -

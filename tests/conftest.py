@@ -38,3 +38,12 @@ def random_unimodular(rng, n, steps=12):
         else:
             m[i] = [-v for v in m[i]]
     return IntMatrix.from_rows(m)
+
+
+def double_torsion(monkeypatch):
+    """Make CycleWeightContext.torsion_subcomplex return twice t(X_W);
+    t(X) is computed without it, so every torsion ratio doubles."""
+    from cellmesh.forests import CycleWeightContext
+    torsion_subcomplex = CycleWeightContext.torsion_subcomplex
+    monkeypatch.setattr(CycleWeightContext, "torsion_subcomplex",
+                        lambda ctx, positions: 2 * torsion_subcomplex(ctx, positions))

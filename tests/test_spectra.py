@@ -12,7 +12,8 @@ from cellmesh.forests import CycleWeightContext, cycle_weight, enumerate_forests
 from cellmesh.homology import (LatticeBasis, integral_boundary_basis,
                                integral_cycle_basis)
 from cellmesh.intmat import (IntMatrix, char_poly, char_poly_rational,
-                             det_bareiss, gram_det, principal_minor_sum)
+                             det_bareiss, gram_det, invariant_factor_product,
+                             principal_minor_sum)
 from cellmesh.spectra import (combinatorial_laplacian, geometric_boundary_basis,
                               geometric_cycle_basis, gram_state_push,
                               greedy_spanning_forest, independent_subsets,
@@ -20,7 +21,7 @@ from cellmesh.spectra import (combinatorial_laplacian, geometric_boundary_basis,
                               verify_geometric_theorems, verify_kirchhoff_lyons,
                               verify_theorem1, verify_theorem2,
                               weighted_laplacian)
-from conftest import random_unimodular
+from conftest import double_torsion, random_unimodular
 
 SMALL = [("k3", 1), ("k4", 1), ("theta", 1), ("p2", 1), ("delta3", 1),
          ("delta3", 2), ("delta3", 3), ("sphere2", 1), ("sphere2", 2),
@@ -288,11 +289,13 @@ def test_verifier_process_count_determinism(corpus, monkeypatch):
     x = corpus["rp2"]
     entered = force_pool(monkeypatch)
     serial = [verify_theorem1(x, 1, processes=1),
-              verify_kirchhoff_lyons(x, 2, processes=1)]
+              verify_kirchhoff_lyons(x, 2, processes=1),
+              verify_theorem2(x, 1, processes=1)]
     assert entered == []
     pooled = [verify_theorem1(x, 1, processes=2),
-              verify_kirchhoff_lyons(x, 2, processes=2)]
-    assert entered == [15, 10]  # one task per first row / column
+              verify_kirchhoff_lyons(x, 2, processes=2),
+              verify_theorem2(x, 1, processes=2)]
+    assert entered == [15, 10, 15]  # one task per first row / column
     for one, many in zip(serial, pooled):
         assert one.passed and one.rows == many.rows
 
@@ -337,6 +340,17 @@ def test_theorem1_rejects_doubled_cycle_column(corpus, monkeypatch):
     assert entered
 
 
+def test_theorem1_rejects_doubled_torsion_ratio(corpus, monkeypatch):
+    # every ratio t(X_W)/t(X) doubles; only the cokernel order the engine
+    # carries can tell
+    double_torsion(monkeypatch)
+    entered = force_pool(monkeypatch)
+    for processes in (1, 2):
+        with pytest.raises(AssertionError, match="cokernel order"):
+            verify_theorem1(corpus["rp2"], 1, processes=processes)
+    assert entered
+
+
 def test_pool_failure_falls_back_to_serial(corpus, monkeypatch):
     import concurrent.futures
 
@@ -351,28 +365,57 @@ def test_pool_failure_falls_back_to_serial(corpus, monkeypatch):
 
 
 def test_independent_subsets_oracle(rng):
-    # every independent subset with its Gram determinant, against brute
-    # force over all subsets; square ones also against det_bareiss squared
+    # every independent subset with its Gram determinant and cokernel
+    # order, against brute force over all subsets; square ones also
+    # against det_bareiss squared
     for _ in range(100):
         n = rng.randint(1, 7)
         m = rng.randint(1, min(4, n))
         vecs = [tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(n)]
         got = list(independent_subsets(vecs))
-        assert [idx for idx, _ in got] == sorted(idx for idx, _ in got)
-        grams = dict(got)
+        assert [item[0] for item in got] == sorted(item[0] for item in got)
+        found = {idx: (gram, cok) for idx, gram, cok in got}
         for size in range(1, n + 1):
             for idx in combinations(range(n), size):
-                cols = IntMatrix.from_rows([list(vecs[i]) for i in idx]).transpose()
-                g = gram_det(cols) if size <= m else 0
-                assert grams.get(idx, 0) == g, (vecs, idx)
+                rows = [list(vecs[i]) for i in idx]
+                g = gram_det(IntMatrix.from_rows(rows).transpose()) if size <= m else 0
+                assert found.get(idx, (0, None))[0] == g, (vecs, idx)
+                if g:
+                    assert found[idx][1] == invariant_factor_product(
+                        [row[:] for row in rows]), (vecs, idx)
                 if size == m:
-                    assert g == det_bareiss([list(vecs[i]) for i in idx]) ** 2
+                    assert g == det_bareiss(rows) ** 2
         cap = rng.randint(0, m)
         assert list(independent_subsets(vecs, cap)) == [
             item for item in got if len(item[0]) <= cap]
         # the runs split by smallest index, as the pool runs them
         assert [item for i in range(n)
                 for item in independent_subsets(vecs, first=i)] == got
+        assert [item for i in range(n)
+                for item in independent_subsets(vecs, cap, i)] == [
+            item for item in got if len(item[0]) <= cap]
+    # gcds > 1 at every depth: maximal minors (6, 6, -12), det -12, ...
+    assert [cok for _, _, cok in independent_subsets([(2, 0, 4), (0, 3, 3), (1, 1, 1)])] == [
+        2, 6, 12, 2, 3, 3, 1]
+
+
+def test_independent_subsets_rank_routes_must_agree(monkeypatch):
+    # a Gram push that drops one independent candidate leaves its Hermite
+    # tail nonzero, and the engine refuses to go on
+    import cellmesh.spectra as spectra
+    push = spectra.gram_state_push
+    dropped = []
+
+    def drop_once(state, vec, start=0):
+        item = push(state, vec, start)
+        if start and item is not None and not dropped:
+            dropped.append(vec)
+            return None
+        return item
+    monkeypatch.setattr(spectra, "gram_state_push", drop_once)
+    with pytest.raises(AssertionError, match="rank routes disagree"):
+        list(independent_subsets([(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+    assert dropped
 
 
 def test_report_serialization_strings(corpus):
@@ -388,3 +431,16 @@ def test_gram_state_push_rejects_dependent():
     item = gram_state_push(state, (1, 2))
     state.append(item)
     assert gram_state_push(state, (2, 4)) is None
+    # from start on, a push continues one reduced against state[:start]
+    # and agrees with a full push
+    for vec in ((3, 1, 4), (1, 5, 9), (2, 6, 5)):
+        state = [gram_state_push([], (1, 1, 0))]
+        state.append(gram_state_push(state, (0, 2, 1)))
+        full = gram_state_push(state, vec)
+        part = gram_state_push(state[:1], vec)
+        assert gram_state_push(state, part[0], start=1) == full
+        assert gram_state_push(state, vec, start=0) == full
+    state = [gram_state_push([], (1, 0, 0))]
+    state.append(gram_state_push(state, (1, 1, 0)))
+    part = gram_state_push(state[:1], (0, 1, 0))
+    assert gram_state_push(state, part[0], start=1) is None
