@@ -14,7 +14,8 @@ from fractions import Fraction
 
 from .complexes import (CellSubset, ComplexFormatError, WeightAssignment,
                         load_complex, validate)
-from .forests import boundary_weight, cycle_weight, enumerate_forests
+from .forests import (BoundaryWeightContext, CycleWeightContext, boundary_weight,
+                      cycle_weight, enumerate_forests)
 from .homology import (covolume_squared, homology_covolume_squared,
                        homology_groups, integral_boundary_basis,
                        integral_cycle_basis, torsion_order)
@@ -204,19 +205,19 @@ def cmd_forests(args):
         _emit({"complex": x.name, "dim": args.dim, "kind": kind,
                "param": param, "count": count}, args.output)
         return 0
-    cyc_basis = bnd_basis = None
+    if kind in ("spanning_forest", "k_augmented"):
+        weigh, lattice, context = cycle_weight, integral_cycle_basis, CycleWeightContext
+    else:
+        weigh, lattice, context = boundary_weight, integral_boundary_basis, BoundaryWeightContext
+    basis = ctx = None
     items = []
     for cert in stream:
         item = {"cells": sorted(cert.subset.members)}
         if args.with_weights:
-            if kind in ("spanning_forest", "k_augmented"):
-                if cyc_basis is None:
-                    cyc_basis = integral_cycle_basis(x, args.dim)
-                w = cycle_weight(x, args.dim, cert.subset, cyc_basis)
-            else:
-                if bnd_basis is None:
-                    bnd_basis = integral_boundary_basis(x, args.dim)
-                w = boundary_weight(x, args.dim, cert.subset, bnd_basis)
+            if ctx is None:  # one context per command, so its caches are shared
+                basis = lattice(x, args.dim)
+                ctx = context(x, args.dim, basis)
+            w = weigh(x, args.dim, cert.subset, basis, ctx)
             item["weight"] = _enc(w.weight)
             item["weight_parts"] = {key: _enc(v)
                                     for key, v in w.weight_parts.items()}

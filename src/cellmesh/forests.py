@@ -10,11 +10,12 @@ soon as the rank condition becomes unattainable.
 """
 
 from fractions import Fraction
+from operator import mul
 
 from .complexes import CellSubset, ComplexFormatError, boundary_matrix
 from .homology import integral_boundary_basis, relative_order
-from .intmat import (IntMatrix, gram_det, invariant_factor_product,
-                     kernel_basis, rank)
+from .intmat import (IntMatrix, det_bareiss, gram_det, gram_det_of,
+                     invariant_factor_product, kernel_basis, kernel_columns, rank)
 
 KINDS = ("spanning_forest", "k_augmented", "forest_of_size",
          "spanning_coforest", "k_reduced_coforest")
@@ -247,16 +248,28 @@ class CycleWeightContext:
 
 
 class BoundaryWeightContext:
-    """Cached data for boundary-mesh weights at one dimension."""
+    """Cached data for boundary-mesh weights at one dimension.
+
+    v(V,X) = |det A[V]| depends only on the spanning coforest V, so it is
+    memoized per sorted V (v_order); a pool worker fills its own copy.
+    """
 
     def __init__(self, x, d, basis):
         if basis.kind != "boundaries" or basis.dimension != d:
             raise ComplexFormatError("boundary_weight needs a boundary basis at d")
         self.x = x
         self.d = d
-        self.a = basis.basis  # n_d x b_d
-        self.b_up = self.a.cols
-        self.rows = _row_vectors(self.a)
+        self.b_up = basis.basis.cols
+        self.rows = _row_vectors(basis.basis)  # n_d rows of length b_d
+        self._v = {}
+
+    def v_order(self, v_positions):
+        """v(V,X) = |det A[V]| for the sorted positions of V, memoized."""
+        key = tuple(v_positions)
+        v = self._v.get(key)
+        if v is None:
+            v = self._v[key] = abs(det_bareiss([list(self.rows[p]) for p in key]))
+        return v
 
 
 def cycle_weight(x, d, subset, basis, ctx=None):
@@ -294,40 +307,59 @@ def cycle_weight(x, d, subset, basis, ctx=None):
                              k if k else None, direct, parts)
 
 
-def boundary_weight(x, d, subset, basis, ctx=None):
+def boundary_weight(x, d, subset, basis, ctx=None, direct=None):
     """Weight of a k-reduced spanning coforest, computed both ways.
 
     (i) directly as the Gram determinant of the boundary-basis rows indexed
     by the subset, and (ii) as (v(V,X)/u(W,V))^2 det(B'[W]^t B'[W]) for a
     greedily chosen containing spanning coforest V, where u and v are the
-    relative orders of Theorem-2 type.  f(W) = u/v is recorded and its
-    independence of V is spot-checked against a second containing coforest
-    when one exists.
+    relative orders of Theorem-2 type and B' is a saturated kernel basis of
+    those rows.  f(W) = u/v is recorded and its independence of V is
+    spot-checked against a second containing coforest when one exists.
+
+    `direct`, when given, is route (i) already computed by the caller:
+    theorem 2's leaf check passes the Gram determinant of the enumeration
+    engine, so it is not taken twice, and the identity is still checked by
+    two independent routes: the engine's Gram determinant against u, v and
+    det(B'^t B'), computed here from the kernel.  Without `direct` the Gram
+    determinant of the rows is taken here.  Either way the subset is checked
+    once, by the kernel rank: B' has rank b_d - |W| exactly when the rows of
+    W are independent.  A public caller's bad subset is a ComplexFormatError;
+    a bad subset behind a given `direct` is an AssertionError.
     """
     if ctx is None:
         ctx = BoundaryWeightContext(x, d, basis)
     pos = x.positions(d, subset.members)
-    m = len(pos)
-    k = ctx.b_up - m
-    r_w = ctx.a.submatrix(pos, range(ctx.b_up))
-    if k < 0 or rank(r_w) != m:
-        raise ComplexFormatError("subset is not a k-reduced spanning coforest")
-    direct = gram_det(r_w.transpose())
-    bprime = kernel_basis(r_w)  # b_d x k coordinates of boundaries vanishing on W
-    gram_factor = gram_det(bprime)
+    k = ctx.b_up - len(pos)
+    rows_w = [ctx.rows[p] for p in pos]
+    bprime = kernel_columns(rows_w, ctx.b_up)  # boundaries vanishing on W, b_d coords
+    if len(bprime) != k:
+        if direct is None:
+            raise ComplexFormatError("subset is not a k-reduced spanning coforest")
+        raise AssertionError(
+            f"kernel of rank {len(bprime)} != {k} on {sorted(subset.members)}")
+    if direct is None:
+        direct = gram_det_of(rows_w)
+    gram_factor = gram_det_of(bprime)
+    # The rows of A[W] span the annihilator of B', so a set S of other rows
+    # extends W to an independent set exactly when the images a B' of its
+    # rows are independent: greedy passes over those k-vectors choose the
+    # containing spanning coforests V = W + S, the same V as greedy passes
+    # over the rows of A that start with W.
     pos_set = set(pos)
-    rest = [i for i in range(x.n_cells(d)) if i not in pos_set]
-    # W is independent, so a greedy pass that starts with it keeps all of it
-    v1 = sorted(greedy_basis(ctx.rows, pos + rest, ctx.b_up))
-    u1, vv1 = _u_v_orders(ctx, pos, v1, bprime)
+    images = {p: [sum(map(mul, row, col)) for col in bprime]
+              for p, row in enumerate(ctx.rows) if p not in pos_set}
+    rest = list(images)
+    s1 = greedy_basis(images, rest, k)
+    u1, vv1 = _u_v_orders(ctx, pos, s1, images)
     if direct * u1 * u1 != vv1 * vv1 * gram_factor:
         raise AssertionError(
             f"boundary weight mismatch on {sorted(subset.members)}: "
             f"{direct} * {u1}^2 != {vv1}^2 * {gram_factor}")
     f_w = Fraction(u1, vv1)
-    v2 = sorted(greedy_basis(ctx.rows, pos + rest[::-1], ctx.b_up))
-    if v2 != v1:
-        u2, vv2 = _u_v_orders(ctx, pos, v2, bprime)
+    s2 = greedy_basis(images, rest[::-1], k)
+    if set(s2) != set(s1):
+        u2, vv2 = _u_v_orders(ctx, pos, s2, images)
         if Fraction(u2, vv2) != f_w:
             raise AssertionError(
                 f"f(W) depends on the containing coforest: {u1}/{vv1} vs {u2}/{vv2}")
@@ -336,16 +368,19 @@ def boundary_weight(x, d, subset, basis, ctx=None):
                              k if k else None, direct, parts)
 
 
-def _u_v_orders(ctx, w_positions, v_positions, bprime):
-    """u(W,V) and v(V,X) for W inside the spanning coforest V."""
-    if len(v_positions) != ctx.b_up:
+def _u_v_orders(ctx, w_positions, interface, images):
+    """u(W,V) and v(V,X) for W inside the spanning coforest V = W + interface.
+
+    u = |det(A[V - W] B')| needs A B' only on the k interface rows V - W;
+    `images` holds those rows of A B' (B' the kernel columns, boundaries
+    vanishing on W), so u is a k x k determinant and the n_d x b_d matrix A
+    is never multiplied by B'.  v = |det A[V]| depends only on V and comes
+    from the context's memo (BoundaryWeightContext.v_order).
+    """
+    if len(w_positions) + len(interface) != ctx.b_up:
         raise ComplexFormatError("no containing spanning coforest exists")
-    interface = [p for p in v_positions if p not in set(w_positions)]
-    supported = ctx.a.mul(bprime)  # boundaries vanishing on W, cellular coords
-    sub = supported.submatrix(interface, range(bprime.cols))
-    u = abs(sub.det()) if sub.rows else 1
-    square = ctx.a.submatrix(v_positions, range(ctx.b_up))
-    v = abs(square.det())
+    u = abs(det_bareiss([list(images[p]) for p in interface]))
+    v = ctx.v_order(sorted(w_positions + interface))
     if u == 0 or v == 0:
         raise AssertionError("degenerate containing coforest")
     return u, v

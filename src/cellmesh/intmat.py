@@ -510,6 +510,55 @@ def invariant_factors(a):
     return [x for x in smith_normal_form(a).invariant_factors() if x != 1]
 
 
+def _column_hermite_reduce(cols, nrows):
+    """Reduce the integer columns `cols` in place, by unimodular column
+    operations, to canonical column Hermite form on rows 0..nrows-1; return
+    the rank r there.  Entries below row nrows are carried along.
+
+    Afterwards cols[:r] are echelon on those rows with strictly increasing
+    pivot rows, positive pivots and entries left of each pivot reduced into
+    [0, pivot), and cols[r:] are zero on them.  Each pivot row takes the
+    column of least nonzero |entry| and gcd-combines the later columns into
+    it by the Euclidean algorithm.
+    """
+    n = len(cols)
+    pivots = []
+    for r in range(nrows):
+        c = len(pivots)
+        if c == n:
+            break
+        best = 0
+        for j in range(c, n):
+            a = cols[j][r]
+            if a:
+                a = -a if a < 0 else a
+                if best == 0 or a < best:
+                    best, bj = a, j
+                    if a == 1:
+                        break
+        if best == 0:
+            continue
+        cols[c], cols[bj] = cols[bj], cols[c]
+        for j in range(c + 1, n):
+            a, b = cols[c], cols[j]
+            if b[r]:
+                while b[r]:
+                    q = a[r] // b[r]
+                    a, b = b, [x - q * y for x, y in zip(a, b)]
+                cols[c], cols[j] = a, b
+        pivots.append(r)
+    for c, r in enumerate(pivots):
+        pc = cols[c]
+        if pc[r] < 0:
+            pc = cols[c] = [-x for x in pc]
+        pv = pc[r]
+        for j in range(c):
+            q = cols[j][r] // pv
+            if q:
+                cols[j] = [x - q * y for x, y in zip(cols[j], pc)]
+    return len(pivots)
+
+
 def column_hermite(a):
     """Canonical column Hermite form of the column lattice of a.
 
@@ -518,71 +567,50 @@ def column_hermite(a):
     positive pivots, and entries left of each pivot reduced into [0, pivot).
     Zero columns are dropped, so the result has rank-many columns.
     """
-    rows, ncols = a.rows, a.cols
-    cols = [[a.data[i][j] for i in range(rows)] for j in range(ncols)]
-    pivots = []  # (row, column index in cols) in increasing row order
-    c = 0
-    for r in range(rows):
-        j = c
-        while j < len(cols):
-            if cols[j][r]:
-                break
-            j += 1
-        else:
-            continue
-        if j != c:
-            cols[c], cols[j] = cols[j], cols[c]
-        # gcd-combine every later column into column c at row r
-        for j in range(c + 1, len(cols)):
-            while cols[j][r]:
-                q = cols[c][r] // cols[j][r]
-                if q:
-                    cj = cols[j]
-                    cc = cols[c]
-                    for i in range(r, rows):
-                        cc[i] -= q * cj[i]
-                if cols[c][r] == 0:
-                    cols[c], cols[j] = cols[j], cols[c]
-                    continue
-                q = cols[j][r] // cols[c][r]
-                cj = cols[j]
-                cc = cols[c]
-                for i in range(r, rows):
-                    cj[i] -= q * cc[i]
-        if cols[c][r] < 0:
-            cols[c] = [-x for x in cols[c]]
-        pv = cols[c][r]
-        # reduce earlier pivot columns at row r into [0, pv)
-        for j in range(c):
-            x = cols[j][r]
-            q = x // pv
-            if q:
-                cj = cols[j]
-                cc = cols[c]
-                for i in range(rows):
-                    cj[i] -= q * cc[i]
-        pivots.append(r)
-        c += 1
-        if c == len(cols):
-            break
-    kept = cols[:c]
-    return IntMatrix(rows, c, [[col[i] for col in kept] for i in range(rows)])
+    rows = a.rows
+    cols = [[a.data[i][j] for i in range(rows)] for j in range(a.cols)]
+    kept = cols[:_column_hermite_reduce(cols, rows)]
+    return IntMatrix(rows, len(kept), [[col[i] for col in kept] for i in range(rows)])
+
+
+def kernel_columns(rows, ncols):
+    """Columns of the canonical basis of the saturated kernel {x : A x = 0},
+    for A given as a list of int rows of length ncols.
+
+    Cohen, A Course in Computational Algebraic Number Theory (1993), 2.4:
+    reduce the columns of the stacked matrix [A; I] to column Hermite form
+    on the rows of A.  The operations are unimodular, so the identity part
+    records a unimodular transform U with [A; I] U = [H; U], and the columns
+    of U under a zero A-part are a basis of the kernel that is a direct
+    summand of Z^ncols (saturated).  Their canonical column Hermite form
+    depends only on the kernel lattice.
+    """
+    m = len(rows)
+    cols = [[row[j] for row in rows] + [0] * j + [1] + [0] * (ncols - j - 1)
+            for j in range(ncols)]
+    r = _column_hermite_reduce(cols, m)
+    ker = [col[m:] for col in cols[r:]]
+    _column_hermite_reduce(ker, ncols)
+    return ker
 
 
 def kernel_basis(a):
     """Basis of the saturated integer kernel lattice {x : A x = 0}.
 
     Columns form a basis of ker(A) as a direct summand of Z^cols (all
-    invariant factors 1), canonicalized by column Hermite form.
+    invariant factors 1), in canonical column Hermite form.  They come from
+    a column Hermite reduction of [A; I] with its transform (Cohen 1993,
+    2.4), not from a Smith form; see kernel_columns.
     """
-    snf = smith_normal_form(a)
-    r = len(snf.invariant_factors())
     n = a.cols
-    if r == n:
-        return IntMatrix(n, 0, [[] for _ in range(n)])
-    ker_cols = [[snf.v.data[i][j] for i in range(n)] for j in range(r, n)]
-    raw = IntMatrix(n, n - r, [[col[i] for col in ker_cols] for i in range(n)])
-    return column_hermite(raw)
+    ker = kernel_columns(a.data, n)
+    return IntMatrix(n, len(ker), [[col[i] for col in ker] for i in range(n)])
+
+
+def gram_det_of(vectors):
+    """det of the Gram matrix [<v_i, v_j>] of a list of integer vectors;
+    1 for no vectors."""
+    return det_bareiss([[sum(map(mul, vi, vj)) for vj in vectors] for vi in vectors])
 
 
 def gram_det(b):
@@ -590,12 +618,7 @@ def gram_det(b):
 
     Equals 1 for a matrix with no columns (empty product).
     """
-    n = b.cols
-    if n == 0:
-        return 1
-    bt = [[b.data[i][j] for i in range(b.rows)] for j in range(n)]
-    g = [[sum(x * y for x, y in zip(ci, cj)) for cj in bt] for ci in bt]
-    return det_bareiss(g)
+    return gram_det_of([[b.data[i][j] for i in range(b.rows)] for j in range(b.cols)])
 
 
 def _faddeev_leverrier(a):

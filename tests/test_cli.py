@@ -9,7 +9,7 @@ import pytest
 
 from cellmesh.cli import run
 from cellmesh.corpus import write_corpus
-from conftest import double_torsion
+from conftest import double_torsion, double_v_order
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
@@ -71,11 +71,14 @@ def test_failed_check_exits_1(capsys, monkeypatch, corpus_dir):
     # a leaf check that raises deep in the enumeration is a verification
     # failure: exit 1 with one line on stderr, no traceback
     double_torsion(monkeypatch)
-    code, out, err = invoke(capsys, "verify", str(corpus_dir / "rp2.json"),
-                            "--theorem", "trent", "--dim", "1")
-    assert code == 1 and out == ""
-    assert err.startswith("verification failed: cokernel order")
-    assert err.count("\n") == 1 and "Traceback" not in err
+    double_v_order(monkeypatch)
+    for theorem, message in (("trent", "cokernel order"),
+                             ("boundary", "boundary weight mismatch")):
+        code, out, err = invoke(capsys, "verify", str(corpus_dir / "rp2.json"),
+                                "--theorem", theorem, "--dim", "1")
+        assert code == 1 and out == ""
+        assert err.startswith(f"verification failed: {message}")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_usage_error_exits_2(capsys):

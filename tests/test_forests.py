@@ -13,6 +13,7 @@ from cellmesh.forests import (BoundaryWeightContext, CycleWeightContext,
                               enumerate_forests, kirchhoff_pair_weight)
 from cellmesh.homology import integral_boundary_basis, integral_cycle_basis
 from cellmesh.intmat import IntMatrix, gram_det, kernel_basis, rank, invariant_factor_product
+from cellmesh.spectra import independent_subsets
 from conftest import random_int_matrix
 
 
@@ -169,6 +170,39 @@ def test_boundary_weight_f_independence(corpus):
         w = boundary_weight(d3, 1, cert.subset, b, ctx)
         assert w.weight >= 1
         assert isinstance(w.weight_parts["f"], Fraction)
+
+
+def test_boundary_weight_rejects_wrong_direct(corpus):
+    # a Gram determinant passed in as `direct` is checked, not trusted
+    for name, d in (("moore_z2", 1), ("delta3", 1), ("sphere2", 1)):
+        x = corpus[name]
+        b = integral_boundary_basis(x, d)
+        ctx = BoundaryWeightContext(x, d, b)
+        ids = x.cell_ids(d)
+        for idx, gram, _ in independent_subsets(ctx.rows, b.rank):
+            subset = CellSubset(d, [ids[i] for i in idx])
+            assert boundary_weight(x, d, subset, b, ctx, direct=gram).weight == gram
+            with pytest.raises(AssertionError, match="boundary weight mismatch"):
+                boundary_weight(x, d, subset, b, ctx, direct=gram + 1)
+
+
+def test_boundary_weight_rejects_dependent_subset(corpus):
+    # the kernel rank is the one subset check: a public caller's dependent or
+    # oversized subset is a ComplexFormatError, one behind `direct` an
+    # AssertionError
+    x = corpus["delta3"]
+    b = integral_boundary_basis(x, 1)
+    ids = x.cell_ids(1)
+    a = b.basis
+    bad = [pos for size in (b.rank, b.rank + 1) for pos in combinations(range(len(ids)), size)
+           if rank(a.submatrix(pos, range(a.cols))) < size]
+    assert any(len(pos) == b.rank for pos in bad) and any(len(pos) > b.rank for pos in bad)
+    for pos in bad:
+        subset = CellSubset(1, [ids[i] for i in pos])
+        with pytest.raises(ComplexFormatError, match="not a k-reduced"):
+            boundary_weight(x, 1, subset, b)
+        with pytest.raises(AssertionError, match="kernel of rank"):
+            boundary_weight(x, 1, subset, b, direct=1)
 
 
 def test_kirchhoff_pair_examples(corpus):

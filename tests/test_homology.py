@@ -13,7 +13,7 @@ from cellmesh.homology import (covolume_squared, homology_covolume_squared,
                                saturate_columns, rational_solve, torsion_order)
 from cellmesh.intmat import (gram_det, invariant_factor_product, rank,
                              smith_normal_form)
-from conftest import random_unimodular
+from conftest import column_hermite_oracle, random_unimodular, smith_kernel_oracle
 
 KNOWN_HOMOLOGY = {
     # name -> {dim: (betti, factors)}
@@ -77,6 +77,18 @@ def test_rank_nullity_and_saturation(corpus):
             if z.basis.cols:
                 snf = smith_normal_form(z.basis)
                 assert snf.invariant_factors() == [1] * z.basis.cols, (name, d)
+
+
+def test_lattice_bases_match_oracle_routes(corpus):
+    # the canonical cycle and boundary bases are the ones the Smith kernel
+    # route and the earlier Hermite route give, at every dimension
+    for name, x in corpus.items():
+        for d in range(x.dimension + 1):
+            assert (integral_cycle_basis(x, d).basis
+                    == smith_kernel_oracle(boundary_matrix(x, d))), (name, d)
+            if d < x.dimension:
+                assert (integral_boundary_basis(x, d).basis
+                        == column_hermite_oracle(boundary_matrix(x, d + 1))), (name, d)
 
 
 def test_covolume_examples(corpus):

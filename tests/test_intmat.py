@@ -11,7 +11,8 @@ from cellmesh.intmat import (IntMatrix, IntPolynomial, RatMatrix, char_poly,
                              char_poly_rational, column_hermite, det_bareiss,
                              gram_det, invariant_factor_product, kernel_basis,
                              principal_minor_sum, rank, smith_normal_form)
-from conftest import random_int_matrix, random_unimodular
+from conftest import (column_hermite_oracle, random_int_matrix,
+                      random_unimodular, smith_kernel_oracle)
 
 
 def naive_det(m):
@@ -98,6 +99,29 @@ def test_kernel_canonical_under_column_shuffle(rng):
     u = random_unimodular(rng, k.cols) if k.cols else None
     if u is not None:
         assert column_hermite(k.mul(u)) == k
+
+
+def test_kernel_basis_matches_smith_oracle(rng):
+    # the Hermite-with-transform kernel equals the Smith route's canonical
+    # basis, and is saturated, on random, empty, zero and rank-deficient input
+    cases = [IntMatrix(0, n, []) for n in range(5)]
+    cases += [IntMatrix.zeros(r, n) for r in range(1, 4) for n in range(5)]
+    for _ in range(2000):
+        rows = random_int_matrix(rng, rng.randint(1, 6), rng.randint(0, 8), -4, 4).data
+        if len(rows) > 1 and rng.random() < 0.3:  # a multiple of another row
+            i, j = rng.sample(range(len(rows)), 2)
+            c = rng.choice([-2, 1, 3])
+            rows[i] = [c * y for y in rows[j]]
+        cases.append(IntMatrix.from_rows(rows))
+    deficient = 0
+    for a in cases:
+        k = kernel_basis(a)
+        assert k == smith_kernel_oracle(a), a
+        assert column_hermite(a) == column_hermite_oracle(a), a
+        if k.cols:
+            assert smith_normal_form(k).invariant_factors() == [1] * k.cols
+        deficient += rank(a) < min(a.rows, a.cols)
+    assert deficient > 200
 
 
 def test_column_hermite_preserves_lattice(rng):

@@ -8,7 +8,8 @@ import pytest
 from cellmesh.complexes import (CellSubset, ComplexFormatError,
                                 WeightAssignment, boundary_matrix, simplex_id)
 from cellmesh.corpus import RP2_FACES
-from cellmesh.forests import CycleWeightContext, cycle_weight, enumerate_forests
+from cellmesh.forests import (CycleWeightContext, boundary_weight, cycle_weight,
+                              enumerate_forests)
 from cellmesh.homology import (LatticeBasis, integral_boundary_basis,
                                integral_cycle_basis)
 from cellmesh.intmat import (IntMatrix, char_poly, char_poly_rational,
@@ -21,7 +22,7 @@ from cellmesh.spectra import (combinatorial_laplacian, geometric_boundary_basis,
                               verify_geometric_theorems, verify_kirchhoff_lyons,
                               verify_theorem1, verify_theorem2,
                               weighted_laplacian)
-from conftest import double_torsion, random_unimodular
+from conftest import double_torsion, double_v_order, random_unimodular
 
 SMALL = [("k3", 1), ("k4", 1), ("theta", 1), ("p2", 1), ("delta3", 1),
          ("delta3", 2), ("delta3", 3), ("sphere2", 1), ("sphere2", 2),
@@ -349,6 +350,42 @@ def test_theorem1_rejects_doubled_torsion_ratio(corpus, monkeypatch):
         with pytest.raises(AssertionError, match="cokernel order"):
             verify_theorem1(corpus["rp2"], 1, processes=processes)
     assert entered
+
+
+def test_theorem2_rejects_doubled_v_order(corpus, monkeypatch):
+    # a wrong memoized v(V,X) breaks the relative-order form at the first
+    # leaf, serially and in the pool
+    double_v_order(monkeypatch)
+    entered = force_pool(monkeypatch)
+    for processes in (1, 2):
+        with pytest.raises(AssertionError, match="boundary weight mismatch"):
+            verify_theorem2(corpus["rp2"], 1, processes=processes)
+    assert entered
+
+
+def test_theorem2_leaf_path_matches_public_boundary_weight(corpus, monkeypatch):
+    # the leaf check feeds boundary_weight the engine's Gram determinant;
+    # on every k-reduced coforest it must give the weight and parts of the
+    # public route, which validates and takes its own Gram determinant
+    import cellmesh.spectra as spectra
+    fed = {}
+
+    def recorded(*args, **kwargs):
+        cert = boundary_weight(*args, **kwargs)
+        fed[cert.subset] = cert
+        return cert
+    monkeypatch.setattr(spectra, "boundary_weight", recorded)
+    for name, d in (("moore_z2", 1), ("delta3", 1), ("delta3", 2), ("k4", 1)):
+        x = corpus[name]
+        basis = integral_boundary_basis(x, d)
+        fed.clear()
+        assert verify_theorem2(x, d, basis, processes=1).passed
+        coforests = {cert.subset for k in range(basis.rank)
+                     for cert in enumerate_forests(x, d, "k_reduced_coforest", k)}
+        assert set(fed) == coforests, (name, d)
+        for subset, cert in fed.items():
+            public = boundary_weight(x, d, subset, basis)
+            assert (cert.weight, cert.weight_parts) == (public.weight, public.weight_parts)
 
 
 def test_pool_failure_falls_back_to_serial(corpus, monkeypatch):
