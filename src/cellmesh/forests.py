@@ -14,8 +14,9 @@ from operator import mul
 
 from .complexes import CellSubset, ComplexFormatError, boundary_matrix
 from .homology import integral_boundary_basis, relative_order
-from .intmat import (IntMatrix, det_bareiss, gram_det, gram_det_of,
-                     invariant_factor_product, kernel_basis, kernel_columns, rank)
+from .intmat import (IntMatrix, _column_hermite_reduce, det_bareiss, gram_det,
+                     gram_det_of, invariant_factor_product, kernel_basis,
+                     kernel_columns, rank)
 
 KINDS = ("spanning_forest", "k_augmented", "forest_of_size",
          "spanning_coforest", "k_reduced_coforest")
@@ -214,8 +215,20 @@ class CycleWeightContext:
     """Cached data for Theorem-style cycle weights at one dimension.
 
     Torsion orders of subcomplexes are read off the boundary columns
-    expressed in a basis of the saturated (d-1)-boundary lattice, which
-    shrinks every per-subset Smith computation to b_{d-1} rows.
+    expressed in a basis of the saturated (d-1)-boundary lattice: the
+    b_{d-1} x n_d table `coords`, whose cokernel restricted to the columns
+    of W is Z^{b_{d-1}} / L_W with torsion t_{d-1}(X_W).  t(X) is the
+    invariant-factor product of the whole raw table.
+
+    For the subcomplexes the table is reduced once, by unimodular row
+    operations, to row Hermite form T (the rows of `coords` put in canonical
+    Hermite form by _column_hermite_reduce).  Row operations change the
+    basis of Z^{b_{d-1}} only, so every cokernel, and its torsion, is the
+    same for T as for `coords`.  A row whose pivot is 1 has the unit vector
+    e_i as its pivot column: the rows below are zero there and the rows
+    above are reduced into [0, 1).  The construction checks that T has the
+    invariant-factor product t(X) of the raw table, so a reduction that was
+    not unimodular fails before any subset is weighed.
     """
 
     def __init__(self, x, d, basis):
@@ -234,17 +247,40 @@ class CycleWeightContext:
         else:
             coords = IntMatrix(0, x.n_cells(d), [])
         self.coords = coords
-        self.coord_cols = [tuple(coords.data[i][j] for i in range(coords.rows))
-                           for j in range(coords.cols)]
         self.t_x = invariant_factor_product([row[:] for row in coords.data])
+        table = [row[:] for row in coords.data]
+        table = table[:_column_hermite_reduce(table, coords.cols)]
+        if invariant_factor_product([row[:] for row in table]) != self.t_x:
+            raise AssertionError(
+                f"reduced boundary table of {x.name} at d={d} changes t(X)")
+        self.unit_rows = []  # (pivot column, row) for the pivots equal to 1
+        self.other_rows = []
+        for row in table:
+            col = next(j for j, a in enumerate(row) if a)
+            if row[col] == 1:
+                self.unit_rows.append((col, row))
+            else:
+                self.other_rows.append(row)
+        self.unit_cols = {col for col, _ in self.unit_rows}
 
     def torsion_subcomplex(self, positions):
-        """t_{d-1} of the subcomplex with exactly these d-cells."""
-        rows = len(self.coord_cols[0]) if self.coord_cols else 0
-        if not self.coord_cols:
+        """t_{d-1} of the subcomplex with exactly these d-cells.
+
+        A unit-pivot row i of the reduced table whose pivot column, e_i,
+        lies in W puts e_i in the lattice L_W, so Z^r / L_W is isomorphic
+        to Z^{r-1} / p(L_W), where p drops coordinate i: the row and its
+        column go and the torsion stays.  This holds for any W, spanning or
+        not.  So the Smith runs only on the unit-pivot rows whose column is
+        outside W and the rows with a larger pivot, restricted to W's other
+        columns; with no rows left the order is 1.
+        """
+        inside = set(positions)
+        rows = [row for col, row in self.unit_rows if col not in inside]
+        rows += self.other_rows
+        if not rows:
             return 1
-        m = [[self.coord_cols[j][i] for j in positions] for i in range(rows)]
-        return invariant_factor_product(m)
+        cols = [j for j in positions if j not in self.unit_cols]
+        return invariant_factor_product([[row[j] for j in cols] for row in rows])
 
 
 class BoundaryWeightContext:

@@ -14,8 +14,9 @@ Gram-Schmidt triple and a Hermite tail; the Gram triple gives the Gram
 determinant, the tail the cokernel order, and the two are independent rank
 routes that must agree at every push.  At each subset trent checks the
 cokernel-order identity (_trent_leaf_check): the torsion ratio t(X_W)/t(X),
-a Smith computation on the boundary coordinates of W, must equal the
-engine's cokernel order of the chosen cycle-matrix rows.
+taken on the boundary side from the reduced boundary table of
+CycleWeightContext, must equal the engine's cokernel order of the chosen
+cycle-matrix rows.
 """
 
 import os
@@ -446,10 +447,14 @@ def _trent_leaf_check(ctx, chosen, gram, cok):
     The rows `chosen` of the cycle matrix are independent, so their
     complement W is a k-augmented spanning forest whose weight is `gram`,
     the Gram determinant of those rows.  Two independent routes must agree:
-    the torsion ratio t(X_W)/t(X), a Smith computation on the boundary
-    coordinates of W, and `cok`, the cokernel order of the chosen rows that
-    the engine carries down its Hermite tails.  The weight must also be
-    divisible by the squared ratio.
+    the torsion ratio t(X_W)/t(X), taken on the boundary side, and `cok`,
+    the cokernel order of the chosen rows that the engine carries down its
+    Hermite tails on the cycle side.  t(X_W) is torsion_subcomplex of W: a
+    Smith on the rows of the once-reduced boundary table whose unit pivot
+    lies outside W (here, among the chosen rows), plus any rows with a
+    larger pivot, restricted to W's other columns; mostly 3 to 5 rows on
+    delta5skel2 at d = 2, where the full table has 10.  The weight must
+    also be divisible by the squared ratio.
     """
     taken = set(chosen)
     t_w = ctx.torsion_subcomplex([j for j in range(ctx.a.rows) if j not in taken])
@@ -628,10 +633,11 @@ def verify_geometric_theorems(x, d, v0=None, v1=None, processes=None):
     notes which of the two matches; they coincide exactly when V0 is
     torsion-free.  Boundary side: weights are squared relative orders of
     (d+1, d) pairs.
+
+    `processes` is accepted for the signature the verifiers share and is not
+    used yet: both sides run serially (ROADMAP item 3).
     """
     start = time.monotonic()
-    if processes is None:
-        processes = default_processes()
     if v0 is None:
         v0 = greedy_spanning_forest(x, d)
     if v1 is None:

@@ -49,6 +49,32 @@ def double_torsion(monkeypatch):
                         lambda ctx, positions: 2 * torsion_subcomplex(ctx, positions))
 
 
+def double_t_x(monkeypatch):
+    """Make CycleWeightContext carry twice t(X), as a wrong t(X) would; the
+    reduced boundary table and every t(X_W) are left alone."""
+    from cellmesh.forests import CycleWeightContext
+    init = CycleWeightContext.__init__
+
+    def doubled(ctx, *args):
+        init(ctx, *args)
+        ctx.t_x *= 2
+    monkeypatch.setattr(CycleWeightContext, "__init__", doubled)
+
+
+def perturb_reduced_table(monkeypatch):
+    """Triple the first off-pivot nonzero entry of the first unit-pivot row
+    of CycleWeightContext's reduced boundary table, after its construction
+    check has passed; t(X) is left alone."""
+    from cellmesh.forests import CycleWeightContext
+    init = CycleWeightContext.__init__
+
+    def perturbed(ctx, *args):
+        init(ctx, *args)
+        col, row = ctx.unit_rows[0]
+        row[next(j for j, a in enumerate(row) if a and j != col)] *= 3
+    monkeypatch.setattr(CycleWeightContext, "__init__", perturbed)
+
+
 def double_v_order(monkeypatch):
     """Make BoundaryWeightContext.v_order return twice v(V,X), as a memo
     holding a wrong value would; u and the kernel are left alone."""

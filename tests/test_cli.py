@@ -9,7 +9,7 @@ import pytest
 
 from cellmesh.cli import run
 from cellmesh.corpus import write_corpus
-from conftest import double_torsion, double_v_order
+from conftest import double_t_x, double_torsion, double_v_order
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
@@ -70,15 +70,25 @@ def test_bad_process_count_exits_2(capsys, monkeypatch, corpus_dir):
 def test_failed_check_exits_1(capsys, monkeypatch, corpus_dir):
     # a leaf check that raises deep in the enumeration is a verification
     # failure: exit 1 with one line on stderr, no traceback
-    double_torsion(monkeypatch)
-    double_v_order(monkeypatch)
-    for theorem, message in (("trent", "cokernel order"),
-                             ("boundary", "boundary weight mismatch")):
-        code, out, err = invoke(capsys, "verify", str(corpus_dir / "rp2.json"),
-                                "--theorem", theorem, "--dim", "1")
+    rp2 = str(corpus_dir / "rp2.json")
+    for patch, theorem, message in (
+            (double_torsion, "trent", "cokernel order"),
+            (double_t_x, "trent", "torsion ratio"),
+            (double_v_order, "boundary", "boundary weight mismatch")):
+        patch(monkeypatch)
+        code, out, err = invoke(capsys, "verify", rp2, "--theorem", theorem, "--dim", "1")
+        monkeypatch.undo()
         assert code == 1 and out == ""
         assert err.startswith(f"verification failed: {message}")
         assert err.count("\n") == 1 and "Traceback" not in err
+    # a broken identity that raises nothing is a failing report: the report
+    # goes to stdout with pass false, and the exit code is 1
+    import cellmesh.torsion as torsion
+    orig = torsion.reduced_laplacian_det
+    monkeypatch.setattr(torsion, "reduced_laplacian_det", lambda x, i: 4 * orig(x, i))
+    code, out, err = invoke(capsys, "verify", rp2, "--theorem", "rf")
+    assert code == 1 and err == ""
+    assert json.loads(out)["pass"] is False
 
 
 def test_usage_error_exits_2(capsys):

@@ -1,6 +1,7 @@
 """Forest/coforest classification, enumeration against brute force, and the
 two-route weight computations."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -15,6 +16,7 @@ from cellmesh.homology import integral_boundary_basis, integral_cycle_basis
 from cellmesh.intmat import IntMatrix, gram_det, kernel_basis, rank, invariant_factor_product
 from cellmesh.spectra import independent_subsets
 from conftest import random_int_matrix
+from test_random_complexes import random_bouquet
 
 
 def brute_force_enumeration(x, d, kind, param):
@@ -141,6 +143,64 @@ def test_cycle_weight_rejects_non_forest(corpus):
     z = integral_cycle_basis(k3, 1)
     with pytest.raises(ComplexFormatError):
         cycle_weight(k3, 1, CellSubset(1, ["e12"]), z)
+
+
+def _full_table_torsion(ctx, positions):
+    """t_{d-1}(X_W) by the full-table route: the invariant-factor product of
+    the b_{d-1} x |W| boundary coordinates of W, before any reduction."""
+    return invariant_factor_product(
+        [[row[j] for j in positions] for row in ctx.coords.data])
+
+
+def test_torsion_subcomplex_matches_full_table_oracle(corpus):
+    # the reduced table drops each unit-pivot row whose pivot column lies in
+    # W; t(X_W) must still equal the full-table Smith for spanning and
+    # non-spanning W, on every corpus case and the seeded bouquets of
+    # test_random_complexes
+    cases = [(x, d) for _, x in sorted(corpus.items())
+             for d in range(1, x.dimension + 1)]
+    bouquets = random.Random(2024)
+    for _ in range(20):
+        b = random_bouquet(bouquets, bouquets.randint(1, 5), bouquets.randint(1, 5))
+        cases += [(b, 1), (b, 2)]
+    rng = random.Random(11)
+    non_unit = set()
+    for x, d in cases:
+        ctx = CycleWeightContext(x, d, integral_cycle_basis(x, d))
+        n = x.n_cells(d)
+        if n <= 12:
+            subsets = [list(s) for k in range(n + 1) for s in combinations(range(n), k)]
+        else:
+            subsets = [sorted(rng.sample(range(n), rng.randint(0, n)))
+                       for _ in range(2000)]
+        spanning = 0
+        for pos in subsets:
+            assert ctx.torsion_subcomplex(pos) == _full_table_torsion(ctx, pos), \
+                (x.name, d, pos)
+            spanning += rank(ctx.coords.submatrix(range(ctx.coords.rows), pos)) \
+                == ctx.b_low
+        if ctx.b_low:
+            assert 0 < spanning < len(subsets), (x.name, d)
+        if ctx.other_rows:
+            non_unit.add((x.name, d))
+    assert {("rp2", 2), ("moore_z2", 2)} <= non_unit
+
+
+def test_cycle_context_rejects_non_unimodular_reduction(corpus, monkeypatch):
+    # a reduction that scales a row is not unimodular; the construction
+    # check sees the changed t(X) before any subset is weighed
+    import cellmesh.forests as forests
+    reduce = forests._column_hermite_reduce
+
+    def scaled(rows, ncols):
+        r = reduce(rows, ncols)
+        rows[0][:] = [2 * a for a in rows[0]]
+        return r
+    monkeypatch.setattr(forests, "_column_hermite_reduce", scaled)
+    for name, d in (("k4", 1), ("rp2", 2)):
+        x = corpus[name]
+        with pytest.raises(AssertionError, match="changes t\\(X\\)"):
+            CycleWeightContext(x, d, integral_cycle_basis(x, d))
 
 
 def test_boundary_weight_examples(corpus):

@@ -22,7 +22,8 @@ from cellmesh.spectra import (combinatorial_laplacian, geometric_boundary_basis,
                               verify_geometric_theorems, verify_kirchhoff_lyons,
                               verify_theorem1, verify_theorem2,
                               weighted_laplacian)
-from conftest import double_torsion, double_v_order, random_unimodular
+from conftest import (double_t_x, double_torsion, double_v_order,
+                      perturb_reduced_table, random_unimodular)
 
 SMALL = [("k3", 1), ("k4", 1), ("theta", 1), ("p2", 1), ("delta3", 1),
          ("delta3", 2), ("delta3", 3), ("sphere2", 1), ("sphere2", 2),
@@ -345,6 +346,32 @@ def test_theorem1_rejects_doubled_torsion_ratio(corpus, monkeypatch):
     # every ratio t(X_W)/t(X) doubles; only the cokernel order the engine
     # carries can tell
     double_torsion(monkeypatch)
+    entered = force_pool(monkeypatch)
+    for processes in (1, 2):
+        with pytest.raises(AssertionError, match="cokernel order"):
+            verify_theorem1(corpus["rp2"], 1, processes=processes)
+    assert entered
+
+
+def test_theorem1_rejects_wrong_t_x(corpus, monkeypatch):
+    # with t(X) doubled no torsion ratio is right: the leaf check must fail,
+    # serially and in the pool
+    double_t_x(monkeypatch)
+    entered = force_pool(monkeypatch)
+    for name in ("k4", "rp2"):
+        for processes in (1, 2):
+            try:
+                report = verify_theorem1(corpus[name], 1, processes=processes)
+            except AssertionError:
+                continue
+            assert not report.passed, (name, processes)
+    assert entered
+
+
+def test_theorem1_rejects_perturbed_reduced_table(corpus, monkeypatch):
+    # one wrong entry of the reduced boundary table changes t(X_W) on some
+    # forest; the engine's cokernel order must disagree there
+    perturb_reduced_table(monkeypatch)
     entered = force_pool(monkeypatch)
     for processes in (1, 2):
         with pytest.raises(AssertionError, match="cokernel order"):
