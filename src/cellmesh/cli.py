@@ -268,12 +268,9 @@ def cmd_verify(args):
         report = _covolume_report(x, args.dim)
     elif theorem == "rf":
         report = verify_rf_identity(x)
-        _emit(report.to_json_dict(deterministic=True), args.output)
-        return 0 if report.passed else 1
     else:  # pragma: no cover - argparse restricts choices
         raise ComplexFormatError(f"unknown theorem {theorem!r}")
-    _emit(report.to_json_dict(deterministic=True), args.output)
-    return 0 if report.passed else 1
+    return _emit_report(report.to_json_dict(deterministic=True), args.output)
 
 
 def cmd_kalai(args):
@@ -283,8 +280,23 @@ def cmd_kalai(args):
         for tok in args.weights.split(","):
             weights.append(Fraction(tok) if "/" in tok else Fraction(int(tok)))
     report = verify_kalai(args.n, args.k, args.kind, weights)
-    _emit(report.to_json_dict(deterministic=True), args.output)
-    return 0 if report.passed else 1
+    return _emit_report(report.to_json_dict(deterministic=True), args.output)
+
+
+def _emit_report(doc, mode):
+    """Print a verification report; a failing one also names its first
+    failing row in one stderr line and exits 1."""
+    _emit(doc, mode)
+    if doc["pass"]:
+        return 0
+    if "rows" in doc:
+        row = next(r for r in doc["rows"] if not r["pass"])
+        where = f"{doc['theorem']} d={doc['dim']}: row k={row['k']}"
+    else:  # the rf report: one row per skeleton dimension
+        row = next(r for r in doc["skeleta"] if not r["pass"])
+        where = f"rf d={row['dim']}"
+    print(f"verification failed: {where} lhs != rhs", file=sys.stderr)
+    return 1
 
 
 def build_parser():

@@ -10,13 +10,14 @@ soon as the rank condition becomes unattainable.
 """
 
 from fractions import Fraction
+from math import gcd
 from operator import mul
 
 from .complexes import CellSubset, ComplexFormatError, boundary_matrix
 from .homology import integral_boundary_basis, relative_order
-from .intmat import (IntMatrix, _column_hermite_reduce, det_bareiss, gram_det,
-                     gram_det_of, invariant_factor_product, kernel_basis,
-                     kernel_columns, rank)
+from .intmat import (IntMatrix, _apply_pivot_ops, _column_hermite_reduce, _pivot_ops,
+                     det_bareiss, gram_det, gram_det_of, invariant_factor_product,
+                     kernel_basis, kernel_columns, rank)
 
 KINDS = ("spanning_forest", "k_augmented", "forest_of_size",
          "spanning_coforest", "k_reduced_coforest")
@@ -229,6 +230,12 @@ class CycleWeightContext:
     above are reduced into [0, 1).  The construction checks that T has the
     invariant-factor product t(X) of the raw table, so a reduction that was
     not unimodular fails before any subset is weighed.
+
+    Two routes read t(X_W) off T.  torsion_subcomplex runs a Smith per
+    subset and serves cycle_weight, the geometric cycle side and the tests
+    as an oracle; twin_table turns T into one twin row per cell, so that
+    the enumeration engine carries t(X_W) down its DFS as a cokernel order
+    (trent's leaf check).  Both read unit_rows and other_rows when called.
     """
 
     def __init__(self, x, d, basis):
@@ -273,6 +280,9 @@ class CycleWeightContext:
         not.  So the Smith runs only on the unit-pivot rows whose column is
         outside W and the rows with a larger pivot, restricted to W's other
         columns; with no rows left the order is 1.
+
+        Trent's leaf check takes t(X_W) from twin_table instead, with no
+        Smith per subset; this per-subset route is its test oracle.
         """
         inside = set(positions)
         rows = [row for col, row in self.unit_rows if col not in inside]
@@ -281,6 +291,49 @@ class CycleWeightContext:
             return 1
         cols = [j for j in positions if j not in self.unit_cols]
         return invariant_factor_product([[row[j] for j in cols] for row in rows])
+
+    def twin_table(self):
+        """Trent's twin rows and t0: t(X_W) = t0 * the cokernel order of the
+        twin rows of the cells outside W, for every W whose columns span.
+
+        Deleting a column q of the reduced table T changes no torsion if
+        the unit row e_q is added instead: a maximal minor of [T; e_q] is
+        zero or, by Laplace expansion along e_q, a maximal minor of T
+        without q.  So with S the cells outside W, t(X_W) is the
+        invariant-factor product of [T; E_S].  There, a unit-pivot row i
+        with pivot column c (e_i in T) first clears the 1 of e_c when c is
+        in S, by a row subtraction; then column c holds only that pivot, and
+        Laplace expansion along it drops row i and column c.  What is left
+        lives on the columns Q that are not unit pivots: cell c's row is its
+        unit row restricted to Q (up to sign), a cell q in Q has e_q, and
+        the rows with a larger pivot, O, stand above them.  Clearing O's
+        rows one at a time by the engine's unimodular column operations
+        (_pivot_ops) splits the product into t0, the product of their gcds,
+        times the cokernel order of the twin rows of S carried through the
+        same operations.  The twin rows have n_d - b_{d-1} entries, as many
+        as the cycle rows.  With S empty this is t(X), so t0 is checked
+        against the invariant-factor product of the raw table.
+
+        The twins are read from unit_rows and other_rows when called.
+        """
+        n = self.coords.cols
+        unit = dict(self.unit_rows)
+        q_cols = [j for j in range(n) if j not in unit]
+        twins = [[unit[c][j] for j in q_cols] if c in unit
+                 else [int(j == c) for j in q_cols] for c in range(n)]
+        rest = [[row[j] for j in q_cols] for row in self.other_rows]
+        t0 = 1
+        while rest:
+            pivot = rest.pop(0)
+            p, ops = _pivot_ops(pivot)
+            t0 *= gcd(*pivot)
+            rest = [_apply_pivot_ops(row, p, ops) for row in rest]
+            twins = [_apply_pivot_ops(row, p, ops) for row in twins]
+        t_x = invariant_factor_product([row[:] for row in self.coords.data])
+        if t0 != t_x:
+            raise AssertionError(
+                f"twin table of {self.x.name} at d={self.d}: t0 {t0} != t(X) {t_x}")
+        return twins, t0
 
 
 class BoundaryWeightContext:

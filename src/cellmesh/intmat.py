@@ -573,6 +573,56 @@ def column_hermite(a):
     return IntMatrix(rows, len(kept), [[col[i] for col in kept] for i in range(rows)])
 
 
+def _xgcd(a, b):
+    """(g, x, y) with x*a + y*b = g, where |g| = gcd(a, b)."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
+
+
+def _pivot_ops(tail):
+    """Unimodular column operations that clear a nonzero row `tail` down
+    to one column.
+
+    Returns (p, ops): p is the pivot column, and each (c, x, y, u, v) in ops
+    maps columns (p, c) to (x col_p + y col_c, u col_p + v col_c), a 2x2
+    map of determinant 1.  After all of them `tail` is zero outside p.
+    """
+    if 1 in tail:
+        p = tail.index(1)
+    elif -1 in tail:
+        p = tail.index(-1)
+    else:
+        p = min((i for i, a in enumerate(tail) if a), key=lambda i: abs(tail[i]))
+    a = tail[p]
+    ops = []
+    for c, b in enumerate(tail):
+        if b and c != p:
+            if b % a == 0:
+                ops.append((c, 1, 0, -(b // a), 1))
+            else:
+                g, x, y = _xgcd(a, b)
+                ops.append((c, x, y, -(b // g), a // g))
+                a = g
+    return p, ops
+
+
+def _apply_pivot_ops(row, p, ops):
+    """`row` through the column operations (p, ops) of _pivot_ops, with the
+    pivot column p dropped: a fresh list one entry shorter."""
+    t = list(row)
+    sp = t[p]
+    for c, x, y, u, v in ops:
+        sc = t[c]
+        sp, t[c] = x * sp + y * sc, u * sp + v * sc
+    del t[p]
+    return t
+
+
 def kernel_columns(rows, ncols):
     """Columns of the canonical basis of the saturated kernel {x : A x = 0},
     for A given as a list of int rows of length ncols.

@@ -12,11 +12,14 @@ the chosen prefix (matroid contraction) and yields (sorted index tuple,
 Gram determinant, cokernel order).  Each candidate carries a fraction-free
 Gram-Schmidt triple and a Hermite tail; the Gram triple gives the Gram
 determinant, the tail the cokernel order, and the two are independent rank
-routes that must agree at every push.  At each subset trent checks the
-cokernel-order identity (_trent_leaf_check): the torsion ratio t(X_W)/t(X),
-taken on the boundary side from the reduced boundary table of
-CycleWeightContext, must equal the engine's cokernel order of the chosen
-cycle-matrix rows.
+routes that must agree at every push.  A caller may hand the engine one
+twin row per vector; each twin is contracted alongside by its own Hermite
+tail, gives a second cokernel order, and its zero tail is a third rank
+route.  At each subset trent checks the cokernel-order identity
+(_trent_leaf_check): the torsion ratio t(X_W)/t(X), taken on the boundary
+side as t0 times the twin cokernel order of the reduced boundary table
+(CycleWeightContext.twin_table), must equal the engine's cokernel order of
+the chosen cycle-matrix rows.
 """
 
 import os
@@ -31,7 +34,8 @@ from .forests import (BoundaryWeightContext, CycleWeightContext, boundary_weight
                       enumerate_forests, greedy_basis, kirchhoff_pair_weight)
 from .homology import (integral_boundary_basis, integral_cycle_basis,
                        rational_solve, relative_order)
-from .intmat import IntMatrix, RatMatrix, char_poly, char_poly_rational, rank
+from .intmat import (IntMatrix, RatMatrix, _apply_pivot_ops, _pivot_ops, char_poly,
+                     char_poly_rational, rank)
 
 MESH_KINDS = ("cycles", "boundaries", "laplacian", "weighted_laplacian")
 
@@ -238,73 +242,36 @@ def gram_state_push(state, vec, start=0):
     return (v, nrm, nrm // prev_gram)
 
 
-def _xgcd(a, b):
-    """(g, x, y) with x*a + y*b = g, where |g| = gcd(a, b)."""
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
-
-
-def _pivot_ops(tail):
-    """Unimodular column operations that clear a nonzero row `tail` down
-    to one column.
-
-    Returns (p, ops): p is the pivot column, and each (c, x, y, u, v) in ops
-    maps columns (p, c) to (x col_p + y col_c, u col_p + v col_c), a 2x2
-    map of determinant 1.  After all of them `tail` is zero outside p.
-    """
-    if 1 in tail:
-        p = tail.index(1)
-    elif -1 in tail:
-        p = tail.index(-1)
-    else:
-        p = min((i for i, a in enumerate(tail) if a), key=lambda i: abs(tail[i]))
-    a = tail[p]
-    ops = []
-    for c, b in enumerate(tail):
-        if b and c != p:
-            if b % a == 0:
-                ops.append((c, 1, 0, -(b // a), 1))
-            else:
-                g, x, y = _xgcd(a, b)
-                ops.append((c, x, y, -(b // g), a // g))
-                a = g
-    return p, ops
-
-
-def _contract(state, pivot_tail, cands):
+def _contract(state, pivot_tail, pivot_twin, cands):
     """The candidates reduced against a prefix, contracted by its last
     member.
 
-    Each candidate (j, (w, norm, gram), tail) is taken one Gram step
+    Each candidate (j, (w, norm, gram), tail, twin) is taken one Gram step
     further, onto state[-1], and its tail through the column operations
-    that clear pivot_tail, with the pivot column dropped.  A candidate that
-    becomes dependent is dropped; its zero norm and its zero tail are two
-    independent rank routes and must agree.
+    that clear pivot_tail, with the pivot column dropped; its twin, when
+    there is one, likewise through the operations that clear pivot_twin.
+    A candidate that becomes dependent is dropped; its zero norm, its zero
+    tail and its zero twin are independent rank routes and must agree.
     """
     start = len(state) - 1
     p, ops = _pivot_ops(pivot_tail)
+    twin_ops = None if pivot_twin is None else _pivot_ops(pivot_twin)
     out = []
-    for j, (w, _, _), tail in cands:
+    for j, (w, _, _), tail, twin in cands:
         item = gram_state_push(state, w, start)
-        t = list(tail)
-        sp = t[p]
-        for c, x, y, u, v in ops:
-            sc = t[c]
-            sp, t[c] = x * sp + y * sc, u * sp + v * sc
-        del t[p]
+        t = _apply_pivot_ops(tail, p, ops)
         if (item is None) == any(t):
             raise AssertionError(f"rank routes disagree on candidate {j}")
+        if twin_ops is not None:
+            twin = _apply_pivot_ops(twin, *twin_ops)
+            if (item is None) == any(twin):
+                raise AssertionError(f"rank routes disagree on the twin of candidate {j}")
         if item is not None:
-            out.append((j, item, t))
+            out.append((j, item, t, twin))
     return out
 
 
-def independent_subsets(vectors, max_size=None, first=None):
+def independent_subsets(vectors, max_size=None, first=None, twins=None):
     """Every nonempty linearly independent subset of `vectors` with at most
     `max_size` members, as (sorted index tuple, Gram determinant, cokernel
     order), in lexicographic DFS order.
@@ -324,6 +291,13 @@ def independent_subsets(vectors, max_size=None, first=None):
     prefix and is dropped for the whole subtree; the two rank routes must
     agree, or AssertionError is raised.
 
+    `twins`, when given, holds one integer row per vector.  Each candidate
+    then also carries its twin's tail, contracted by the column operations
+    that clear the chosen twins, and every subset is yielded with a fourth
+    entry, the cokernel order of the chosen twin rows.  The twins must be
+    independent exactly where the vectors are: a zero twin tail is a third
+    rank route, checked at every push like the other two.
+
     With `first` set only the subsets whose smallest index is `first` are
     visited, so the runs for first = 0, 1, ... split the enumeration in
     order.
@@ -336,11 +310,14 @@ def independent_subsets(vectors, max_size=None, first=None):
     top = []
     for j in range(lo, n):
         item = gram_state_push([], vectors[j])
+        twin = None if twins is None else list(twins[j])
+        if twin is not None and (item is None) == any(twin):
+            raise AssertionError(f"rank routes disagree on the twin of candidate {j}")
         if item is not None:
-            top.append((j, item, list(vectors[j])))
+            top.append((j, item, list(vectors[j]), twin))
     stop = n if first is None else first + 1  # bound on the smallest index
     frames = [[top, 0, sum(1 for cand in top if cand[0] < stop)]]
-    chosen, state, coks = [], [], [1]
+    chosen, state, coks, twin_coks = [], [], [1], [1]
     while True:
         frame = frames[-1]
         cands, pos, limit = frame
@@ -351,16 +328,23 @@ def independent_subsets(vectors, max_size=None, first=None):
             chosen.pop()
             state.pop()
             coks.pop()
+            twin_coks.pop()
             continue
         frame[1] = pos + 1
-        j, item, tail = cands[pos]
+        j, item, tail, twin = cands[pos]
         chosen.append(j)
         cok = coks[-1] * gcd(*tail)
-        yield tuple(chosen), item[2], cok
+        if twin is None:
+            twin_cok = None
+            yield tuple(chosen), item[2], cok
+        else:
+            twin_cok = twin_coks[-1] * gcd(*twin)
+            yield tuple(chosen), item[2], cok, twin_cok
         if len(chosen) < cap and pos + 1 < len(cands):
             state.append(item)
             coks.append(cok)
-            kids = _contract(state, tail, cands[pos + 1:])
+            twin_coks.append(twin_cok)
+            kids = _contract(state, tail, twin, cands[pos + 1:])
             frames.append([kids, 0, len(kids)])
         else:
             chosen.pop()
@@ -371,13 +355,14 @@ def independent_subsets(vectors, max_size=None, first=None):
 _POOL_MIN_SUBSETS = 120_000
 
 
-def independent_subset_gram_sums(vectors, rank_cap, processes=1, check=None):
+def independent_subset_gram_sums(vectors, rank_cap, processes=1, check=None, twins=None):
     """Sum of Gram determinants over all nonempty independent subsets.
 
     Returns {size: [sum_of_gram_dets, subset_count]}.  `rank_cap` bounds the
     rank of `vectors`.  `check(index tuple, gram, cokernel order)`, when
     given, runs at every subset and raises on a failed identity; it must be
-    picklable.
+    picklable.  With `twins` (see independent_subsets) the check also gets
+    the twin cokernel order as a fourth argument.
     The subsets are split by smallest index over `processes` workers when
     processes > 1 and sum_{j <= rank_cap} C(n, j) > _POOL_MIN_SUBSETS; the
     result is the same for any process count.
@@ -385,10 +370,10 @@ def independent_subset_gram_sums(vectors, rank_cap, processes=1, check=None):
     n = len(vectors)
     if processes > 1 and sum(comb(n, j) for j in range(rank_cap + 1)) > _POOL_MIN_SUBSETS:
         parts = _run_parallel(_subset_gram_sums,
-                              [(vectors, rank_cap, i, check) for i in range(n)],
+                              [(vectors, rank_cap, i, check, twins) for i in range(n)],
                               processes)
     else:
-        parts = [_subset_gram_sums((vectors, rank_cap, None, check))]
+        parts = [_subset_gram_sums((vectors, rank_cap, None, check, twins))]
     total = {}
     for part in parts:
         for size, (s, c) in part.items():
@@ -399,13 +384,13 @@ def independent_subset_gram_sums(vectors, rank_cap, processes=1, check=None):
 
 
 def _subset_gram_sums(args):
-    vectors, rank_cap, first, check = args
+    vectors, rank_cap, first, check, twins = args
     out = {}
-    for idx, gram, cok in independent_subsets(vectors, rank_cap, first):
+    for found in independent_subsets(vectors, rank_cap, first, twins):
         if check is not None:
-            check(idx, gram, cok)
-        acc = out.setdefault(len(idx), [0, 0])
-        acc[0] += gram
+            check(*found)
+        acc = out.setdefault(len(found[0]), [0, 0])
+        acc[0] += found[1]
         acc[1] += 1
     return out
 
@@ -441,7 +426,7 @@ def default_processes():
 # Theorem 1: cycle mesh matrix vs k-augmented spanning forests.
 # ---------------------------------------------------------------------------
 
-def _trent_leaf_check(ctx, chosen, gram, cok):
+def _trent_leaf_check(t0, t_x, chosen, gram, cok, twin_cok):
     """Trent's leaf check, the cokernel-order identity.
 
     The rows `chosen` of the cycle matrix are independent, so their
@@ -449,19 +434,16 @@ def _trent_leaf_check(ctx, chosen, gram, cok):
     the Gram determinant of those rows.  Two independent routes must agree:
     the torsion ratio t(X_W)/t(X), taken on the boundary side, and `cok`,
     the cokernel order of the chosen rows that the engine carries down its
-    Hermite tails on the cycle side.  t(X_W) is torsion_subcomplex of W: a
-    Smith on the rows of the once-reduced boundary table whose unit pivot
-    lies outside W (here, among the chosen rows), plus any rows with a
-    larger pivot, restricted to W's other columns; mostly 3 to 5 rows on
-    delta5skel2 at d = 2, where the full table has 10.  The weight must
-    also be divisible by the squared ratio.
+    Hermite tails on the cycle side.  t(X_W) is t0 * `twin_cok`, the
+    cokernel order the engine carries down the twin tails of the reduced
+    boundary table (CycleWeightContext.twin_table); no Smith runs here.
+    The weight must also be divisible by the squared ratio.
     """
-    taken = set(chosen)
-    t_w = ctx.torsion_subcomplex([j for j in range(ctx.a.rows) if j not in taken])
-    if t_w % ctx.t_x:
+    t_w = t0 * twin_cok
+    if t_w % t_x:
         raise AssertionError(
-            f"torsion ratio {t_w}/{ctx.t_x} is not an integer on rows {list(chosen)}")
-    ratio = t_w // ctx.t_x
+            f"torsion ratio {t_w}/{t_x} is not an integer on rows {list(chosen)}")
+    ratio = t_w // t_x
     if cok != ratio:
         raise AssertionError(
             f"cokernel order {cok} != torsion ratio {ratio} on rows {list(chosen)}")
@@ -478,7 +460,9 @@ def verify_theorem1(x, d, basis=None, processes=None):
     rows.  Every subset must pass trent's leaf check, the cokernel-order
     identity (_trent_leaf_check): t(X_W)/t(X) equal to the cokernel order
     of the chosen rows that the engine yields, whose square divides the
-    weight.
+    weight.  The engine carries trent's twin rows alongside, so t(X_W)
+    comes from a second cokernel order and the twins are a third rank
+    route.
     """
     start = time.monotonic()
     if processes is None:
@@ -489,11 +473,12 @@ def verify_theorem1(x, d, basis=None, processes=None):
     poly = char_poly(mesh.matrix)
     z = basis.basis.cols
     ctx = CycleWeightContext(x, d, basis)
+    twins, t0 = ctx.twin_table()
     a_rows = [tuple(row) for row in basis.basis.data]
     rhs = {k: [0, 0] for k in range(z + 1)}
     rhs[z] = [1, 0]  # leading coefficient: empty-product convention
     sums = independent_subset_gram_sums(a_rows, z, processes,
-                                        partial(_trent_leaf_check, ctx))
+                                        partial(_trent_leaf_check, t0, ctx.t_x), twins)
     rhs.update((z - size, acc) for size, acc in sums.items())
 
     rows = []

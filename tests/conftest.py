@@ -41,12 +41,16 @@ def random_unimodular(rng, n, steps=12):
 
 
 def double_torsion(monkeypatch):
-    """Make CycleWeightContext.torsion_subcomplex return twice t(X_W);
+    """Make CycleWeightContext.twin_table return twice t0, after its check
+    against t(X), so that every t(X_W) = t0 * twin cokernel order doubles;
     t(X) is computed without it, so every torsion ratio doubles."""
     from cellmesh.forests import CycleWeightContext
-    torsion_subcomplex = CycleWeightContext.torsion_subcomplex
-    monkeypatch.setattr(CycleWeightContext, "torsion_subcomplex",
-                        lambda ctx, positions: 2 * torsion_subcomplex(ctx, positions))
+    twin_table = CycleWeightContext.twin_table
+
+    def doubled(ctx):
+        twins, t0 = twin_table(ctx)
+        return twins, 2 * t0
+    monkeypatch.setattr(CycleWeightContext, "twin_table", doubled)
 
 
 def double_t_x(monkeypatch):
@@ -75,6 +79,33 @@ def perturb_reduced_table(monkeypatch):
     monkeypatch.setattr(CycleWeightContext, "__init__", perturbed)
 
 
+def dependent_twin(monkeypatch):
+    """Make the last twin row of CycleWeightContext.twin_table a copy of the
+    first, so the twins are dependent where the cycle rows are not."""
+    from cellmesh.forests import CycleWeightContext
+    twin_table = CycleWeightContext.twin_table
+
+    def copied(ctx):
+        twins, t0 = twin_table(ctx)
+        twins[-1] = twins[0][:]
+        return twins, t0
+    monkeypatch.setattr(CycleWeightContext, "twin_table", copied)
+
+
+def scale_unit_row(monkeypatch):
+    """Triple every off-pivot entry of the first unit-pivot row of
+    CycleWeightContext's reduced boundary table, after its construction
+    check has passed: the table's column matroid is unchanged, t(X) too."""
+    from cellmesh.forests import CycleWeightContext
+    init = CycleWeightContext.__init__
+
+    def scaled(ctx, *args):
+        init(ctx, *args)
+        col, row = ctx.unit_rows[0]
+        row[:] = [a if j == col else 3 * a for j, a in enumerate(row)]
+    monkeypatch.setattr(CycleWeightContext, "__init__", scaled)
+
+
 def double_v_order(monkeypatch):
     """Make BoundaryWeightContext.v_order return twice v(V,X), as a memo
     holding a wrong value would; u and the kernel are left alone."""
@@ -82,6 +113,23 @@ def double_v_order(monkeypatch):
     v_order = BoundaryWeightContext.v_order
     monkeypatch.setattr(BoundaryWeightContext, "v_order",
                         lambda ctx, v_positions: 2 * v_order(ctx, v_positions))
+
+
+def perturb_kalai_matrix(monkeypatch):
+    """Move one entry of every Kalai matrix by 1/7, which breaks its
+    annihilating polynomial."""
+    from fractions import Fraction
+
+    import cellmesh.kalai as kalai
+    from cellmesh.intmat import RatMatrix
+    build = kalai.build_kalai_matrix
+
+    def perturbed(*args):
+        m = build(*args)
+        data = [[Fraction(v) for v in row] for row in m.data]
+        data[0][-1] += Fraction(1, 7)
+        return RatMatrix(m.rows, m.cols, data)
+    monkeypatch.setattr(kalai, "build_kalai_matrix", perturbed)
 
 
 def column_hermite_oracle(a):

@@ -9,7 +9,7 @@ import pytest
 
 from cellmesh.cli import run
 from cellmesh.corpus import write_corpus
-from conftest import double_t_x, double_torsion, double_v_order
+from conftest import double_t_x, double_torsion, double_v_order, perturb_kalai_matrix
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
@@ -82,13 +82,19 @@ def test_failed_check_exits_1(capsys, monkeypatch, corpus_dir):
         assert err.startswith(f"verification failed: {message}")
         assert err.count("\n") == 1 and "Traceback" not in err
     # a broken identity that raises nothing is a failing report: the report
-    # goes to stdout with pass false, and the exit code is 1
+    # goes to stdout with pass false, one stderr line names the first
+    # failing row, and the exit code is 1
     import cellmesh.torsion as torsion
     orig = torsion.reduced_laplacian_det
     monkeypatch.setattr(torsion, "reduced_laplacian_det", lambda x, i: 4 * orig(x, i))
     code, out, err = invoke(capsys, "verify", rp2, "--theorem", "rf")
-    assert code == 1 and err == ""
-    assert json.loads(out)["pass"] is False
+    assert code == 1 and json.loads(out)["pass"] is False
+    assert err == "verification failed: rf d=0 lhs != rhs\n"
+    monkeypatch.undo()
+    perturb_kalai_matrix(monkeypatch)
+    code, out, err = invoke(capsys, "kalai", "--n", "4", "--k", "1", "--kind", "laplacian")
+    assert code == 1 and json.loads(out)["pass"] is False
+    assert err == "verification failed: kalai-laplacian d=1: row k=1 lhs != rhs\n"
 
 
 def test_usage_error_exits_2(capsys):

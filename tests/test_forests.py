@@ -186,6 +186,54 @@ def test_torsion_subcomplex_matches_full_table_oracle(corpus):
     assert {("rp2", 2), ("moore_z2", 2)} <= non_unit
 
 
+def test_twin_cokernel_order_matches_torsion_oracles(corpus, monkeypatch):
+    # on every trent leaf, t0 times the engine's twin cokernel order must be
+    # t(X_W) by both the reduced-table and the full-table Smith, for every
+    # corpus case and the seeded bouquets of test_random_complexes (which
+    # bring rows with a larger pivot and t(X) > 1); on the one tree too big
+    # to walk here (delta5skel2 at d = 2, 358,884 leaves) every leaf of size
+    # at most 2 and every leaf inside the last 11 rows is checked.  Where
+    # the twins see a larger pivot or t(X) > 1, the verifier's rows must
+    # not depend on the worker count.
+    import cellmesh.spectra as spectra
+    from cellmesh.spectra import verify_theorem1
+    cases = [(x, d) for _, x in sorted(corpus.items())
+             for d in range(1, x.dimension + 1)]
+    bouquets = random.Random(2024)
+    for _ in range(20):
+        b = random_bouquet(bouquets, bouquets.randint(1, 5), bouquets.randint(1, 5))
+        cases += [(b, 1), (b, 2)]
+    larger_pivot = torsional = 0
+    for x, d in cases:
+        z = integral_cycle_basis(x, d)
+        ctx = CycleWeightContext(x, d, z)
+        twins, t0 = ctx.twin_table()
+        assert t0 == ctx.t_x, (x.name, d)
+        larger_pivot += bool(ctx.other_rows)
+        torsional += ctx.t_x > 1
+        a_rows = [tuple(row) for row in z.basis.data]
+        n = len(a_rows)
+        if (x.name, d) == ("delta5skel2", 2):
+            leaves = list(independent_subsets(a_rows, 2, twins=twins))
+            for first in range(n - 11, n):
+                leaves += independent_subsets(a_rows, z.rank, first, twins)
+        else:
+            leaves = list(independent_subsets(a_rows, z.rank, twins=twins))
+        for chosen, _, cok, twin_cok in leaves:
+            taken = set(chosen)
+            w = [j for j in range(n) if j not in taken]
+            assert t0 * twin_cok == ctx.torsion_subcomplex(w) \
+                == _full_table_torsion(ctx, w), (x.name, d, chosen)
+            assert cok * ctx.t_x == t0 * twin_cok, (x.name, d, chosen)
+        if ctx.other_rows or ctx.t_x > 1:
+            serial = verify_theorem1(x, d, z, processes=1)
+            monkeypatch.setattr(spectra, "_POOL_MIN_SUBSETS", 0)
+            pooled = verify_theorem1(x, d, z, processes=2)
+            monkeypatch.undo()
+            assert serial.passed and serial.rows == pooled.rows, (x.name, d)
+    assert larger_pivot >= 2 and torsional >= 2
+
+
 def test_cycle_context_rejects_non_unimodular_reduction(corpus, monkeypatch):
     # a reduction that scales a row is not unimodular; the construction
     # check sees the changed t(X) before any subset is weighed
@@ -201,6 +249,18 @@ def test_cycle_context_rejects_non_unimodular_reduction(corpus, monkeypatch):
         x = corpus[name]
         with pytest.raises(AssertionError, match="changes t\\(X\\)"):
             CycleWeightContext(x, d, integral_cycle_basis(x, d))
+
+
+def test_twin_table_rejects_wrong_t0(corpus):
+    # a larger-pivot row of the reduced table tripled after construction
+    # triples t0; the check against t(X) of the raw table fails before any
+    # subset is visited
+    for name in ("rp2", "moore_z2"):
+        x = corpus[name]
+        ctx = CycleWeightContext(x, 2, integral_cycle_basis(x, 2))
+        ctx.other_rows[0][:] = [3 * a for a in ctx.other_rows[0]]
+        with pytest.raises(AssertionError, match="twin table .* t0 6 != t\\(X\\) 2"):
+            ctx.twin_table()
 
 
 def test_boundary_weight_examples(corpus):

@@ -68,6 +68,36 @@ def test_snf_reconstruction_randomized(rng):
         assert prod == invariant_factor_product([row[:] for row in a.data])
 
 
+def test_snf_matches_sympy_oracle(rng):
+    # sympy's Smith invariant factors are an independent route: they must
+    # equal smith_normal_form's and multiply to invariant_factor_product,
+    # on seeded square, non-square and rank-deficient matrices
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+    shapes = set()
+    for _ in range(150):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        data = random_int_matrix(rng, rows, cols, -6, 6).data
+        if rows > 1 and rng.random() < 0.4:
+            # one row a combination of two others: rank below min(rows, cols)
+            i, j = rng.sample(range(rows), 2)
+            p, q = rng.randint(-3, 3), rng.randint(-3, 3)
+            data[i] = [p * a + q * b for a, b in zip(data[j], data[rng.randrange(rows)])]
+        a = IntMatrix.from_rows(data)
+        expected = [abs(int(f)) for f in invariant_factors(sympy.Matrix(data),
+                                                            domain=sympy.ZZ) if f]
+        assert smith_normal_form(a).invariant_factors() == expected, data
+        prod = 1
+        for f in expected:
+            prod *= f
+        assert invariant_factor_product([row[:] for row in data]) == prod, data
+        r = len(expected)
+        shapes.add(("square" if rows == cols else "non-square",
+                    "full" if r == min(rows, cols) else "deficient"))
+    assert shapes == {("square", "full"), ("square", "deficient"),
+                      ("non-square", "full"), ("non-square", "deficient")}
+
+
 # --- kernels ---------------------------------------------------------------
 
 def test_kernel_triangle_incidence():

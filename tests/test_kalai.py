@@ -6,10 +6,11 @@ from math import comb
 import pytest
 
 from cellmesh.complexes import ComplexFormatError, standard_simplex
-from cellmesh.intmat import IntMatrix, RatMatrix, char_poly
+from cellmesh.intmat import IntMatrix, char_poly
 from cellmesh.kalai import (phi_basis, predicted_spectrum, reduced_incidence,
                             verify_kalai)
 from cellmesh.kalai import _faces_without_first_vertex
+from conftest import perturb_kalai_matrix
 
 
 def test_reduced_incidence_shapes():
@@ -152,16 +153,7 @@ def test_mesh_det_ties_to_forest_sum(corpus):
 def test_verify_kalai_rejects_perturbed_matrix(monkeypatch):
     # one entry moved by 1/7 breaks the annihilating polynomial; the report
     # fails instead of raising, for integer and rational (weighted) matrices
-    import cellmesh.kalai as kalai
-    orig = kalai.build_kalai_matrix
-
-    def perturbed(*args):
-        m = orig(*args)
-        data = [[Fraction(v) for v in row] for row in m.data]
-        data[0][-1] += Fraction(1, 7)
-        return RatMatrix(m.rows, m.cols, data)
-
-    monkeypatch.setattr(kalai, "build_kalai_matrix", perturbed)
+    perturb_kalai_matrix(monkeypatch)
     for n in (2, 4, 5):
         for k in range(1, n):
             for kind in ("incidence", "laplacian", "mesh"):

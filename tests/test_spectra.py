@@ -1,5 +1,6 @@
 """Mesh matrices, Laplacians, and the theorem verifiers on the corpus."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -22,8 +23,8 @@ from cellmesh.spectra import (combinatorial_laplacian, geometric_boundary_basis,
                               verify_geometric_theorems, verify_kirchhoff_lyons,
                               verify_theorem1, verify_theorem2,
                               weighted_laplacian)
-from conftest import (double_t_x, double_torsion, double_v_order,
-                      perturb_reduced_table, random_unimodular)
+from conftest import (dependent_twin, double_t_x, double_torsion, double_v_order,
+                      perturb_reduced_table, random_unimodular, scale_unit_row)
 
 SMALL = [("k3", 1), ("k4", 1), ("theta", 1), ("p2", 1), ("delta3", 1),
          ("delta3", 2), ("delta3", 3), ("sphere2", 1), ("sphere2", 2),
@@ -369,14 +370,33 @@ def test_theorem1_rejects_wrong_t_x(corpus, monkeypatch):
 
 
 def test_theorem1_rejects_perturbed_reduced_table(corpus, monkeypatch):
-    # one wrong entry of the reduced boundary table changes t(X_W) on some
-    # forest; the engine's cokernel order must disagree there
+    # one wrong entry of the reduced boundary table changes the column
+    # matroid of trent's twin rows (built from the table when the verifier
+    # starts), so the twin rank route disagrees at a push before any leaf
+    # shows a wrong torsion ratio
     perturb_reduced_table(monkeypatch)
     entered = force_pool(monkeypatch)
     for processes in (1, 2):
-        with pytest.raises(AssertionError, match="cokernel order"):
+        with pytest.raises(AssertionError, match="rank routes disagree on the twin"):
             verify_theorem1(corpus["rp2"], 1, processes=processes)
     assert entered
+
+
+def test_theorem1_rejects_broken_twins(corpus, monkeypatch):
+    # a unit row of the reduced table with its off-pivot entries tripled
+    # keeps the twins' matroid, so only t(X_W) changes and the engine's
+    # cokernel order must disagree; a twin row made dependent must make the
+    # twin rank route disagree with the Gram and tail routes; both serially
+    # and in the pool
+    for patch, message in ((scale_unit_row, "cokernel order"),
+                           (dependent_twin, "rank routes disagree on the twin")):
+        patch(monkeypatch)
+        entered = force_pool(monkeypatch)
+        for processes in (1, 2):
+            with pytest.raises(AssertionError, match=message):
+                verify_theorem1(corpus["rp2"], 1, processes=processes)
+        assert entered
+        monkeypatch.undo()
 
 
 def test_theorem2_rejects_doubled_v_order(corpus, monkeypatch):
@@ -431,7 +451,8 @@ def test_pool_failure_falls_back_to_serial(corpus, monkeypatch):
 def test_independent_subsets_oracle(rng):
     # every independent subset with its Gram determinant and cokernel
     # order, against brute force over all subsets; square ones also
-    # against det_bareiss squared
+    # against det_bareiss squared; with twins, the twin cokernel order
+    mixer = random.Random(5)  # its own stream: rng draws the same vectors
     for _ in range(100):
         n = rng.randint(1, 7)
         m = rng.randint(1, min(4, n))
@@ -458,6 +479,22 @@ def test_independent_subsets_oracle(rng):
         assert [item for i in range(n)
                 for item in independent_subsets(vecs, cap, i)] == [
             item for item in got if len(item[0]) <= cap]
+        # twins = the vectors times a nonsingular matrix have the same
+        # matroid: the same items, plus the invariant-factor product of the
+        # chosen twin rows, also split by smallest index
+        while True:
+            mix = [[mixer.randint(-2, 2) for _ in range(m)] for _ in range(m)]
+            if det_bareiss([row[:] for row in mix]):
+                break
+        twins = [[sum(v[i] * mix[i][j] for i in range(m)) for j in range(m)]
+                 for v in vecs]
+        twinned = list(independent_subsets(vecs, twins=twins))
+        assert [item[:3] for item in twinned] == got
+        for idx, _, _, twin_cok in twinned:
+            assert twin_cok == invariant_factor_product(
+                [twins[i][:] for i in idx]), (vecs, mix, idx)
+        assert [item for i in range(n)
+                for item in independent_subsets(vecs, first=i, twins=twins)] == twinned
     # gcds > 1 at every depth: maximal minors (6, 6, -12), det -12, ...
     assert [cok for _, _, cok in independent_subsets([(2, 0, 4), (0, 3, 3), (1, 1, 1)])] == [
         2, 6, 12, 2, 3, 3, 1]
