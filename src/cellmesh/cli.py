@@ -285,13 +285,15 @@ def cmd_kalai(args):
 
 def _emit_report(doc, mode):
     """Print a verification report; a failing one also names its first
-    failing row in one stderr line and exits 1."""
+    failing row, and that row's side when it has one, in one stderr line
+    and exits 1."""
     _emit(doc, mode)
     if doc["pass"]:
         return 0
     if "rows" in doc:
         row = next(r for r in doc["rows"] if not r["pass"])
-        where = f"{doc['theorem']} d={doc['dim']}: row k={row['k']}"
+        side = f"side={row['side']} " if "side" in row else ""
+        where = f"{doc['theorem']} d={doc['dim']}: row {side}k={row['k']}"
     else:  # the rf report: one row per skeleton dimension
         row = next(r for r in doc["skeleta"] if not r["pass"])
         where = f"rf d={row['dim']}"

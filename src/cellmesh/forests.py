@@ -4,9 +4,10 @@ A d-dimensional spanning forest is a subset of d-cells of size rank(B_{d-1})
 carrying no d-cycles; adding k cells gives a k-augmented spanning forest.
 A spanning coforest is a subset onto which the d-boundary space restricts
 isomorphically; deleting k cells (restriction still onto) gives a k-reduced
-spanning coforest.  Enumeration is a lexicographic DFS over cell positions
-with incremental fraction-free rank tracking, so a prefix is abandoned as
-soon as the rank condition becomes unattainable.
+spanning coforest.  Every kind is enumerated, in lexicographic order, on
+the package's one subset engine, spectra.independent_subsets: a DFS that
+contracts the later candidates by each chosen vector and drops a prefix
+once too few independent candidates are left to reach the size asked for.
 """
 
 from fractions import Fraction
@@ -14,7 +15,7 @@ from math import gcd
 from operator import mul
 
 from .complexes import CellSubset, ComplexFormatError, boundary_matrix
-from .homology import integral_boundary_basis, relative_order
+from .homology import integral_boundary_basis, integral_cycle_basis, relative_order
 from .intmat import (IntMatrix, _apply_pivot_ops, _column_hermite_reduce, _pivot_ops,
                      det_bareiss, gram_det, gram_det_of, invariant_factor_product,
                      kernel_basis, kernel_columns, rank)
@@ -46,76 +47,23 @@ class ForestCertificate:
 # Rank bookkeeping helpers.
 # ---------------------------------------------------------------------------
 
-def _reduce_against(vec, pivots):
-    """Fraction-free reduction of vec against echelon pivots (pos, pvec)."""
-    v = list(vec)
-    for pos, pvec in pivots:
-        c = v[pos]
-        if c:
-            w = pvec[pos]
-            v = [w * a - c * b for a, b in zip(v, pvec)]
-    return v
-
-
-def _first_nonzero(v):
-    for i, x in enumerate(v):
-        if x:
-            return i
-    return -1
-
-
-def subset_rank_stream(vectors, size, target_rank, allow_dependent):
-    """Yield index tuples (lexicographic) of subsets with the given rank.
-
-    vectors: list of integer tuples (the columns or rows being chosen).
-    Each yielded subset has exactly `size` elements and rank `target_rank`;
-    with allow_dependent=False every chosen vector must extend the rank.
-    """
-    n = len(vectors)
-    dep_budget = size - target_rank
-    if dep_budget < 0:
-        return
-    pivots = []
-
-    def rec(start, chosen, chosen_count, dep_count):
-        if chosen_count == size:
-            if len(pivots) == target_rank:
-                yield tuple(chosen)
-            return
-        need = size - chosen_count
-        if len(pivots) + need < target_rank:
-            return
-        for i in range(start, n - need + 1):
-            red = _reduce_against(vectors[i], pivots)
-            pos = _first_nonzero(red)
-            if pos >= 0:
-                if len(pivots) < target_rank:
-                    pivots.append((pos, red))
-                    chosen.append(i)
-                    yield from rec(i + 1, chosen, chosen_count + 1, dep_count)
-                    chosen.pop()
-                    pivots.pop()
-                # else: would overshoot the target rank; skip
-            elif allow_dependent and dep_count < dep_budget:
-                chosen.append(i)
-                yield from rec(i + 1, chosen, chosen_count + 1, dep_count + 1)
-                chosen.pop()
-
-    yield from rec(0, [], 0, 0)
-
-
 def greedy_basis(vectors, order, target):
     """Positions, in `order`, of the vectors a greedy pass keeps: each one
-    that raises the rank, until the rank reaches `target`."""
-    pivots = []
+    that raises the rank, until the rank reaches `target`.
+
+    A vector raises the rank when its tail, after the column operations
+    that clear the kept vectors (_pivot_ops, as the enumeration engine
+    runs them), is nonzero."""
+    cleared = []
     picked = []
     for i in order:
         if len(picked) == target:
             break
-        red = _reduce_against(vectors[i], pivots)
-        pos = _first_nonzero(red)
-        if pos >= 0:
-            pivots.append((pos, red))
+        tail = list(vectors[i])
+        for p, ops in cleared:
+            tail = _apply_pivot_ops(tail, p, ops)
+        if any(tail):
+            cleared.append(_pivot_ops(tail))
             picked.append(i)
     return picked
 
@@ -168,7 +116,20 @@ def enumerate_forests(x, d, kind, param=None):
 
     Subsets are ordered by their sorted tuples of cell positions (file
     order).  Weights are not attached; see cycle_weight / boundary_weight.
+
+    Every kind is one size of independent sets on the enumeration engine
+    (spectra.independent_subsets): a forest of size m is m independent
+    boundary columns, a k-reduced coforest b_d - k independent rows of the
+    boundary basis.  A k-augmented forest W spans the boundary columns
+    exactly when the cycle-basis rows outside W are independent, so these
+    forests are the complements of the independent cycle-basis row sets of
+    size z - k.  Among sets of one size, complementing reverses
+    lexicographic order: where two sets first differ, the position lies in
+    the earlier set and not in the later one, and the complements swap
+    that.  So the complements are emitted from the last row set to the
+    first.
     """
+    from .spectra import independent_subsets
     if kind not in KINDS:
         raise ComplexFormatError(f"unknown kind {kind!r}")
     ids = x.cell_ids(d)
@@ -177,35 +138,37 @@ def enumerate_forests(x, d, kind, param=None):
         b_low = rank(bd)
         vectors = _column_vectors(bd)
         if kind == "spanning_forest":
-            size, target, dep = b_low, b_low, False
-            param = None
+            size, param = b_low, None
         elif kind == "k_augmented":
             k = 0 if param is None else int(param)
             z = len(ids) - b_low
             if not 0 <= k <= z:
                 raise ComplexFormatError(f"augmentation {k} out of range 0..{z}")
-            size, target, dep, param = b_low + k, b_low, True, k
+            vectors = _row_vectors(integral_cycle_basis(x, d).basis)
+            size, param = z - k, k
         else:
             m = int(param)
             if not 0 <= m <= b_low:
                 raise ComplexFormatError(f"forest size {m} out of range 0..{b_low}")
-            size, target, dep, param = m, m, False, m
+            size, param = m, m
     else:
         bbasis = integral_boundary_basis(x, d).basis
         b_up = bbasis.cols
         vectors = _row_vectors(bbasis)
         if kind == "spanning_coforest":
-            size, target, dep = b_up, b_up, False
-            param = None
+            size, param = b_up, None
         else:
             k = 0 if param is None else int(param)
             if not (0 <= k < b_up or (k == 0 and b_up == 0)):
                 raise ComplexFormatError(
                     f"reduction {k} out of range for rank {b_up}")
-            size, target, dep, param = b_up - k, b_up - k, False, k
-    for idx in subset_rank_stream(vectors, size, target, dep):
-        subset = CellSubset(d, [ids[i] for i in idx])
-        yield ForestCertificate(subset, kind, param)
+            size, param = b_up - k, k
+    found = (idx for idx, _, _ in independent_subsets(vectors, size, min_size=size))
+    if kind == "k_augmented":
+        found = [sorted(set(range(len(ids))).difference(idx))
+                 for idx in reversed(list(found))]
+    for idx in found:
+        yield ForestCertificate(CellSubset(d, [ids[i] for i in idx]), kind, param)
 
 
 # ---------------------------------------------------------------------------
@@ -231,11 +194,13 @@ class CycleWeightContext:
     invariant-factor product t(X) of the raw table, so a reduction that was
     not unimodular fails before any subset is weighed.
 
-    Two routes read t(X_W) off T.  torsion_subcomplex runs a Smith per
-    subset and serves cycle_weight, the geometric cycle side and the tests
-    as an oracle; twin_table turns T into one twin row per cell, so that
-    the enumeration engine carries t(X_W) down its DFS as a cokernel order
-    (trent's leaf check).  Both read unit_rows and other_rows when called.
+    Two routes read t(X_W) off T.  twin_table turns T into one twin row
+    per cell, so that the enumeration engine carries t(X_W) down its DFS as
+    a cokernel order: trent and the geometric cycle side take every spanning
+    W's torsion that way (_trent_leaf_check).  torsion_subcomplex runs a
+    Smith per subset and serves what lies off that tree: cycle_weight, the
+    geometric t(X_V0) and U-dependent denominators, and the tests as an
+    oracle.  Both read unit_rows and other_rows when called.
     """
 
     def __init__(self, x, d, basis):
@@ -281,8 +246,10 @@ class CycleWeightContext:
         outside W and the rows with a larger pivot, restricted to W's other
         columns; with no rows left the order is 1.
 
-        Trent's leaf check takes t(X_W) from twin_table instead, with no
-        Smith per subset; this per-subset route is its test oracle.
+        Trent's and geometric's leaf checks take t(X_W) from twin_table
+        instead, with no Smith per subset; this per-subset route serves
+        cycle_weight, geometric's t(X_V0) and its U-dependent denominators,
+        and is the tests' oracle for the twins.
         """
         inside = set(positions)
         rows = [row for col, row in self.unit_rows if col not in inside]

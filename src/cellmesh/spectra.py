@@ -19,7 +19,8 @@ route.  At each subset trent checks the cokernel-order identity
 (_trent_leaf_check): the torsion ratio t(X_W)/t(X), taken on the boundary
 side as t0 times the twin cokernel order of the reduced boundary table
 (CycleWeightContext.twin_table), must equal the engine's cokernel order of
-the chosen cycle-matrix rows.
+the chosen cycle-matrix rows.  Geometric's cycle side runs the same check
+on the row sets of size z, whose complements are the spanning forests.
 """
 
 import os
@@ -30,8 +31,8 @@ from math import comb, gcd
 from operator import mul
 
 from .complexes import CellSubset, ComplexFormatError, boundary_matrix, boundary_matrix_above
-from .forests import (BoundaryWeightContext, CycleWeightContext, boundary_weight,
-                      enumerate_forests, greedy_basis, kirchhoff_pair_weight)
+from .forests import (BoundaryWeightContext, CycleWeightContext, _column_vectors,
+                      boundary_weight, greedy_basis, kirchhoff_pair_weight)
 from .homology import (integral_boundary_basis, integral_cycle_basis,
                        rational_solve, relative_order)
 from .intmat import (IntMatrix, RatMatrix, _apply_pivot_ops, _pivot_ops, char_poly,
@@ -162,9 +163,9 @@ def weighted_laplacian(x, d, weights):
 def greedy_spanning_forest(x, d):
     """First spanning forest at dimension d in lexicographic cell order."""
     bd = boundary_matrix(x, d)
-    cols = [tuple(bd.data[i][j] for i in range(bd.rows)) for j in range(bd.cols)]
     ids = x.cell_ids(d)
-    return CellSubset(d, [ids[j] for j in greedy_basis(cols, range(bd.cols), rank(bd))])
+    return CellSubset(d, [ids[j] for j in
+                          greedy_basis(_column_vectors(bd), range(bd.cols), rank(bd))])
 
 
 def geometric_cycle_basis(x, d, v0):
@@ -271,12 +272,13 @@ def _contract(state, pivot_tail, pivot_twin, cands):
     return out
 
 
-def independent_subsets(vectors, max_size=None, first=None, twins=None):
-    """Every nonempty linearly independent subset of `vectors` with at most
-    `max_size` members, as (sorted index tuple, Gram determinant, cokernel
-    order), in lexicographic DFS order.
+def independent_subsets(vectors, max_size=None, first=None, twins=None, min_size=1):
+    """Every linearly independent subset of `vectors` with at least
+    `min_size` and at most `max_size` members, as (sorted index tuple, Gram
+    determinant, cokernel order), in lexicographic DFS order; among the
+    subsets of one size that is lexicographic order.
 
-    This is the one subset-enumeration engine of the verifiers: a DFS that
+    This is the one subset-enumeration engine of the package: a DFS that
     keeps, at each node, the later candidates reduced against the chosen
     prefix (matroid contraction).  A candidate carries two reductions:
       * its gram_state_push triple (w, norm, gram) over the prefix, so its
@@ -291,12 +293,18 @@ def independent_subsets(vectors, max_size=None, first=None, twins=None):
     prefix and is dropped for the whole subtree; the two rank routes must
     agree, or AssertionError is raised.
 
+    A frame is dropped once the chosen count plus its remaining candidates
+    falls below `min_size`: every later member of a subset comes from those
+    candidates.  With min_size=0 the empty subset is yielded first, as
+    ((), 1, 1), when `first` is not set.
+
     `twins`, when given, holds one integer row per vector.  Each candidate
     then also carries its twin's tail, contracted by the column operations
     that clear the chosen twins, and every subset is yielded with a fourth
-    entry, the cokernel order of the chosen twin rows.  The twins must be
-    independent exactly where the vectors are: a zero twin tail is a third
-    rank route, checked at every push like the other two.
+    entry, the cokernel order of the chosen twin rows (1 for the empty
+    subset).  The twins must be independent exactly where the vectors are:
+    a zero twin tail is a third rank route, checked at every push like the
+    other two.
 
     With `first` set only the subsets whose smallest index is `first` are
     visited, so the runs for first = 0, 1, ... split the enumeration in
@@ -304,7 +312,9 @@ def independent_subsets(vectors, max_size=None, first=None, twins=None):
     """
     n = len(vectors)
     cap = n if max_size is None else max_size
-    if cap < 1:
+    if min_size == 0 and first is None:
+        yield ((), 1, 1) if twins is None else ((), 1, 1, 1)
+    if cap < max(min_size, 1):
         return
     lo = 0 if first is None else first
     top = []
@@ -321,7 +331,7 @@ def independent_subsets(vectors, max_size=None, first=None, twins=None):
     while True:
         frame = frames[-1]
         cands, pos, limit = frame
-        if pos == limit:
+        if pos == limit or len(chosen) + len(cands) - pos < min_size:
             frames.pop()
             if not frames:
                 return
@@ -334,12 +344,12 @@ def independent_subsets(vectors, max_size=None, first=None, twins=None):
         j, item, tail, twin = cands[pos]
         chosen.append(j)
         cok = coks[-1] * gcd(*tail)
-        if twin is None:
-            twin_cok = None
-            yield tuple(chosen), item[2], cok
-        else:
-            twin_cok = twin_coks[-1] * gcd(*twin)
-            yield tuple(chosen), item[2], cok, twin_cok
+        twin_cok = None if twin is None else twin_coks[-1] * gcd(*twin)
+        if len(chosen) >= min_size:
+            if twin is None:
+                yield tuple(chosen), item[2], cok
+            else:
+                yield tuple(chosen), item[2], cok, twin_cok
         if len(chosen) < cap and pos + 1 < len(cands):
             state.append(item)
             coks.append(cok)
@@ -567,26 +577,25 @@ def verify_kirchhoff_lyons(x, d, processes=None):
     estimated = sum(comb(x.n_cells(d), m) * comb(n_low, m)
                     for m in range(1, b_low + 1))
     rhs = {m: [0, 0] for m in range(1, b_low + 1)}
+    cols = _column_vectors(bd)
     if estimated <= _PAIR_THRESHOLD:
+        ids = x.cell_ids(d)
         ids_low = x.cell_ids(d - 1)
-        for m in range(1, b_low + 1):
-            for vcert in enumerate_forests(x, d, "forest_of_size", m):
-                vpos = x.positions(d, vcert.subset.members)
-                rows = [tuple(bd.data[i][j] for j in vpos) for i in range(n_low)]
-                # square m x m minors: the Gram determinant is det^2
-                for widx, det_sq, _ in independent_subsets(rows, m):
-                    if len(widx) < m:
-                        continue
-                    wsub = CellSubset(d - 1, [ids_low[i] for i in widx])
-                    weight = kirchhoff_pair_weight(x, d, vcert.subset, wsub)
-                    if weight != det_sq:
-                        raise AssertionError("pair weight mismatch")
-                    rhs[m][0] += weight
-                    rhs[m][1] += 1
+        # every forest of every size m, in one pass over the boundary columns
+        for vidx, _, _ in independent_subsets(cols, b_low):
+            m = len(vidx)
+            vsub = CellSubset(d, [ids[j] for j in vidx])
+            rows = list(zip(*(cols[j] for j in vidx)))
+            # square m x m minors: the Gram determinant is det^2
+            for widx, det_sq, _ in independent_subsets(rows, m, min_size=m):
+                wsub = CellSubset(d - 1, [ids_low[i] for i in widx])
+                weight = kirchhoff_pair_weight(x, d, vsub, wsub)
+                if weight != det_sq:
+                    raise AssertionError("pair weight mismatch")
+                rhs[m][0] += weight
+                rhs[m][1] += 1
     else:
         notes.append("inner coforest sums collapsed via Cauchy-Binet")
-        cols = [tuple(bd.data[i][j] for i in range(n_low))
-                for j in range(bd.cols)]
         rhs.update(independent_subset_gram_sums(cols, b_low, processes))
     rows = []
     passed = True
@@ -616,11 +625,17 @@ def verify_geometric_theorems(x, d, v0=None, v1=None, processes=None):
     torsion-ratio form with fixed denominator t_{d-1}(X_{V0}), and the
     variant whose denominator depends on the augmenting set U.  The report
     notes which of the two matches; they coincide exactly when V0 is
-    torsion-free.  Boundary side: weights are squared relative orders of
-    (d+1, d) pairs.
+    torsion-free.  The spanning forests V are walked on trent's tree: the
+    complements of the independent cycle-basis row sets of size z, with the
+    twin rows of CycleWeightContext.twin_table carried alongside.  Every
+    forest passes trent's leaf check (_trent_leaf_check), so t(X_V), taken
+    as t0 times the twin cokernel order, must match the cokernel order of
+    the cycle rows outside V; no Smith runs per forest.  The sums of
+    t(X_V)^2 stay integers per |V - V0| and are divided by t(X_V0)^2 once.
+    Boundary side: weights are squared relative orders of (d+1, d) pairs.
 
     `processes` is accepted for the signature the verifiers share and is not
-    used yet: both sides run serially (ROADMAP item 3).
+    used: both sides run serially.
     """
     start = time.monotonic()
     if v0 is None:
@@ -639,43 +654,53 @@ def verify_geometric_theorems(x, d, v0=None, v1=None, processes=None):
     coeffs = char_poly_rational(mesh0)
     basis = integral_cycle_basis(x, d)
     ctx = CycleWeightContext(x, d, basis)
+    twins, t0 = ctx.twin_table()
     v0pos = set(x.positions(d, v0.members))
     t_v0 = ctx.torsion_subcomplex(sorted(v0pos))
     n = x.n_cells(d)
     free_positions = [j for j in range(n) if j not in v0pos]
-    free_index = {p: i for i, p in enumerate(free_positions)}
+    free_bit = {p: 1 << i for i, p in enumerate(free_positions)}
 
-    proof_rows = {k: Fraction(0) for k in range(z + 1)}
-    counts = {k: 0 for k in range(z + 1)}
+    # The spanning forests V are the complements of the independent
+    # cycle-basis row sets of size z; each passes trent's leaf check, which
+    # gives t(X_V) = t0 * twin cokernel order.
+    leaf_check = partial(_trent_leaf_check, t0, ctx.t_x)
+    a_rows = [tuple(row) for row in basis.basis.data]
+    sq_sums = [0] * (z + 1)  # by j = |V \ V0|: sum of t(X_V)^2, and count
+    found = [0] * (z + 1)
     by_extension = {}  # bitmask of V \ V0 over free positions -> sum of t_V^2
-    for cert in enumerate_forests(x, d, "spanning_forest"):
-        vpos = x.positions(d, cert.subset.members)
-        t_v = ctx.torsion_subcomplex(vpos)
-        ext = [p for p in vpos if p not in v0pos]
-        j = len(ext)
-        term = Fraction(t_v * t_v, t_v0 * t_v0)
-        for k in range(j, z + 1):
-            proof_rows[k] += comb(z - j, k - j) * term
-            counts[k] += comb(z - j, k - j)
-        mask = 0
-        for p in ext:
-            mask |= 1 << free_index[p]
+    for chosen, gram, cok, twin_cok in independent_subsets(a_rows, z, twins=twins,
+                                                             min_size=z):
+        leaf_check(chosen, gram, cok, twin_cok)
+        t_v = t0 * twin_cok
+        mask = (1 << z) - 1 - sum(free_bit.get(p, 0) for p in chosen)
+        j = mask.bit_count()
+        sq_sums[j] += t_v * t_v
+        found[j] += 1
         by_extension[mask] = by_extension.get(mask, 0) + t_v * t_v
+    proof_rows = {k: Fraction(sum(comb(z - j, k - j) * sq_sums[j] for j in range(k + 1)),
+                              t_v0 * t_v0) for k in range(z + 1)}
+    counts = {k: sum(comb(z - j, k - j) * found[j] for j in range(k + 1))
+              for k in range(z + 1)}
 
     udep_rows = None
     if z <= 14:
+        # inner[U] = the sum of by_extension over the masks inside U, for
+        # every U at once: one subset-sum pass over the 2^z masks
+        inner = [0] * (1 << z)
+        for mask, sq in by_extension.items():
+            inner[mask] = sq
+        for i in range(z):
+            bit = 1 << i
+            for u_mask in range(1 << z):
+                if u_mask & bit:
+                    inner[u_mask] += inner[u_mask ^ bit]
         udep_rows = {k: Fraction(0) for k in range(z + 1)}
-        masks = sorted(by_extension)
         for u_mask in range(1 << z):
             upos = sorted(v0pos) + [free_positions[i] for i in range(z)
                                     if u_mask >> i & 1]
             t_u = ctx.torsion_subcomplex(sorted(upos))
-            k = bin(u_mask).count("1")
-            inner = 0
-            for m in masks:
-                if m & ~u_mask == 0:
-                    inner += by_extension[m]
-            udep_rows[k] += Fraction(inner, t_u * t_u)
+            udep_rows[u_mask.bit_count()] += Fraction(inner[u_mask], t_u * t_u)
 
     cycle_match_proof = True
     cycle_match_udep = udep_rows is not None
@@ -720,17 +745,14 @@ def verify_geometric_theorems(x, d, v0=None, v1=None, processes=None):
     ids_low = x.cell_ids(d)
     ids_up = x.cell_ids(d + 1)
     # V1 is a forest, so every subset U of its columns is independent
-    cols = [tuple(bd_up.data[i][j] for i in range(n_low)) for j in v1pos]
+    up_cols = _column_vectors(bd_up)
+    cols = [up_cols[j] for j in v1pos]
     for uidx, gram, _ in independent_subsets(cols):
         k = len(uidx)
         if pair_mode:
-            upos = [v1pos[u] for u in uidx]
-            rows_low = [tuple(bd_up.data[i][j] for j in upos)
-                        for i in range(n_low)]
-            usub = CellSubset(d + 1, [ids_up[j] for j in upos])
-            for widx, det_sq, _ in independent_subsets(rows_low, k):
-                if len(widx) < k:
-                    continue
+            rows_low = list(zip(*(cols[u] for u in uidx)))
+            usub = CellSubset(d + 1, [ids_up[v1pos[u]] for u in uidx])
+            for widx, det_sq, _ in independent_subsets(rows_low, k, min_size=k):
                 comp = CellSubset(d, set(ids_low) -
                                   {ids_low[i] for i in widx})
                 order = relative_order(x, usub, comp, d)

@@ -115,6 +115,15 @@ def double_v_order(monkeypatch):
                         lambda ctx, v_positions: 2 * v_order(ctx, v_positions))
 
 
+def quadruple_pair_weight(monkeypatch):
+    """Make Kirchhoff's pair path see four times every kirchhoff_pair_weight,
+    as a wrong incidence minor or relative order would give."""
+    import cellmesh.spectra as spectra
+    weight = spectra.kirchhoff_pair_weight
+    monkeypatch.setattr(spectra, "kirchhoff_pair_weight",
+                        lambda *args: 4 * weight(*args))
+
+
 def perturb_kalai_matrix(monkeypatch):
     """Move one entry of every Kalai matrix by 1/7, which breaks its
     annihilating polynomial."""

@@ -9,7 +9,8 @@ import pytest
 
 from cellmesh.cli import run
 from cellmesh.corpus import write_corpus
-from conftest import double_t_x, double_torsion, double_v_order, perturb_kalai_matrix
+from conftest import (double_t_x, double_torsion, double_v_order, perturb_kalai_matrix,
+                      quadruple_pair_weight)
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
@@ -71,12 +72,15 @@ def test_failed_check_exits_1(capsys, monkeypatch, corpus_dir):
     # a leaf check that raises deep in the enumeration is a verification
     # failure: exit 1 with one line on stderr, no traceback
     rp2 = str(corpus_dir / "rp2.json")
-    for patch, theorem, message in (
-            (double_torsion, "trent", "cokernel order"),
-            (double_t_x, "trent", "torsion ratio"),
-            (double_v_order, "boundary", "boundary weight mismatch")):
+    for patch, name, theorem, message in (
+            (double_torsion, "rp2", "trent", "cokernel order"),
+            (double_torsion, "rp2", "geometric", "cokernel order"),
+            (double_t_x, "rp2", "trent", "torsion ratio"),
+            (double_v_order, "rp2", "boundary", "boundary weight mismatch"),
+            (quadruple_pair_weight, "k4", "kirchhoff", "pair weight mismatch")):
         patch(monkeypatch)
-        code, out, err = invoke(capsys, "verify", rp2, "--theorem", theorem, "--dim", "1")
+        code, out, err = invoke(capsys, "verify", str(corpus_dir / f"{name}.json"),
+                                "--theorem", theorem, "--dim", "1")
         monkeypatch.undo()
         assert code == 1 and out == ""
         assert err.startswith(f"verification failed: {message}")
@@ -95,6 +99,27 @@ def test_failed_check_exits_1(capsys, monkeypatch, corpus_dir):
     code, out, err = invoke(capsys, "kalai", "--n", "4", "--k", "1", "--kind", "laplacian")
     assert code == 1 and json.loads(out)["pass"] is False
     assert err == "verification failed: kalai-laplacian d=1: row k=1 lhs != rhs\n"
+    monkeypatch.undo()
+    # geometric's cycles and boundaries sides share k values: the line names
+    # the side of the failing row
+    import cellmesh.spectra as spectra
+    from cellmesh.intmat import RatMatrix
+    char_poly_rational = spectra.char_poly_rational
+    basis = spectra.geometric_boundary_basis
+
+    def doubled_basis(*args):
+        g = basis(*args)
+        return RatMatrix(g.rows, g.cols, [[2 * v for v in row] for row in g.data])
+    for name, patched, side, k in (
+            ("char_poly_rational",
+             lambda m: [2 * c for c in char_poly_rational(m)], "cycles", 0),
+            ("geometric_boundary_basis", doubled_basis, "boundaries", 1)):
+        monkeypatch.setattr(spectra, name, patched)
+        code, out, err = invoke(capsys, "verify", rp2, "--theorem", "geometric", "--dim", "1")
+        monkeypatch.undo()
+        failing = [row for row in json.loads(out)["rows"] if not row["pass"]]
+        assert code == 1 and failing[0]["side"] == side and failing[0]["k"] == k
+        assert err == f"verification failed: geometric d=1: row side={side} k={k} lhs != rhs\n"
 
 
 def test_usage_error_exits_2(capsys):

@@ -20,12 +20,11 @@ from test_random_complexes import random_bouquet
 
 
 def brute_force_enumeration(x, d, kind, param):
-    """Subset filter over all candidates, using only naive rank checks."""
-    ids = x.cell_ids(d)
+    """Position tuples of the qualifying subsets, in combinations order,
+    by a subset filter over all candidates using only naive rank checks."""
     bd = boundary_matrix(x, d)
     b_low = rank(bd)
     bb = integral_boundary_basis(x, d).basis
-    out = []
     if kind == "spanning_forest":
         size, cond = b_low, lambda pos: rank(
             bd.submatrix(range(bd.rows), pos)) == len(pos)
@@ -41,13 +40,14 @@ def brute_force_enumeration(x, d, kind, param):
     else:  # k_reduced_coforest
         size = bb.cols - param
         cond = lambda pos: rank(bb.submatrix(pos, range(bb.cols))) == len(pos)
-    for pos in combinations(range(len(ids)), size):
-        if cond(list(pos)):
-            out.append(frozenset(ids[i] for i in pos))
-    return out
+    return [pos for pos in combinations(range(x.n_cells(d)), size) if cond(list(pos))]
 
 
 def test_enumeration_matches_brute_force(corpus):
+    # the same position tuples in the same (lexicographic) order; the last
+    # cases reach the empty set on the engine: k-augmented at k = z (the
+    # complement of no cycle rows), a forest of size 0, and coforests with
+    # b_d = 0
     cases = [
         ("k3", 1, "spanning_forest", None),
         ("k3", 1, "k_augmented", 1),
@@ -67,15 +67,23 @@ def test_enumeration_matches_brute_force(corpus):
         ("p2", 1, "spanning_forest", None),
         ("delta5skel2", 1, "spanning_forest", None),
         ("delta5skel2", 1, "k_reduced_coforest", 8),
+        ("rp2", 1, "k_augmented", 6),
+        ("k4", 1, "k_augmented", 3),
+        ("theta", 1, "k_augmented", 2),
+        ("rp2", 1, "k_augmented", 10),
+        ("k4", 1, "forest_of_size", 0),
+        ("k3", 1, "spanning_coforest", None),
+        ("moore_z2", 2, "k_reduced_coforest", 0),
     ]
     for name, d, kind, param in cases:
         x = corpus[name]
-        got = [c.subset.members for c in enumerate_forests(x, d, kind, param)]
+        got = [tuple(x.positions(d, c.subset.members))
+               for c in enumerate_forests(x, d, kind, param)]
         expected = brute_force_enumeration(x, d, kind, param)
-        assert got == sorted(got, key=lambda s: sorted(s)) or True
-        assert sorted(map(sorted, got)) == sorted(map(sorted, expected)), \
-            (name, d, kind, param)
-        assert len(set(got)) == len(got)
+        assert got == expected, (name, d, kind, param)
+    # each edge case has exactly one subset: all cells, or none
+    assert [len(brute_force_enumeration(corpus[name], d, kind, param))
+            for name, d, kind, param in cases[-6:]] == [1] * 6
 
 
 def test_enumeration_counts(corpus):

@@ -479,6 +479,14 @@ def test_independent_subsets_oracle(rng):
         assert [item for i in range(n)
                 for item in independent_subsets(vecs, cap, i)] == [
             item for item in got if len(item[0]) <= cap]
+        # a lower bound on the size: the same items, in the same order, with
+        # the empty subset first at min_size 0 (and not in the split runs)
+        for low in range(cap + 2):
+            kept = [item for item in got if low <= len(item[0]) <= cap]
+            assert list(independent_subsets(vecs, cap, min_size=low)) == \
+                [((), 1, 1)] * (low == 0) + kept, (vecs, cap, low)
+            assert [item for i in range(n)
+                    for item in independent_subsets(vecs, cap, i, min_size=low)] == kept
         # twins = the vectors times a nonsingular matrix have the same
         # matroid: the same items, plus the invariant-factor product of the
         # chosen twin rows, also split by smallest index
@@ -495,6 +503,10 @@ def test_independent_subsets_oracle(rng):
                 [twins[i][:] for i in idx]), (vecs, mix, idx)
         assert [item for i in range(n)
                 for item in independent_subsets(vecs, first=i, twins=twins)] == twinned
+        for low in range(m + 2):
+            assert list(independent_subsets(vecs, twins=twins, min_size=low)) == \
+                [((), 1, 1, 1)] * (low == 0) + [
+                    item for item in twinned if len(item[0]) >= low], (vecs, mix, low)
     # gcds > 1 at every depth: maximal minors (6, 6, -12), det -12, ...
     assert [cok for _, _, cok in independent_subsets([(2, 0, 4), (0, 3, 3), (1, 1, 1)])] == [
         2, 6, 12, 2, 3, 3, 1]
