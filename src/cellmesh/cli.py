@@ -21,7 +21,7 @@ from .homology import (covolume_squared, homology_covolume_squared,
                        integral_cycle_basis, torsion_order)
 from .intmat import char_poly_rational
 from .kalai import verify_kalai
-from .spectra import (combinatorial_laplacian, default_processes,
+from .spectra import (combinatorial_laplacian, default_processes, encode_number,
                       geometric_boundary_basis, geometric_cycle_basis,
                       mesh_matrix_boundaries, mesh_matrix_cycles,
                       verify_geometric_theorems, verify_kirchhoff_lyons,
@@ -29,21 +29,12 @@ from .spectra import (combinatorial_laplacian, default_processes,
 from .torsion import verify_rf_identity
 
 
-def _enc(v):
-    if isinstance(v, Fraction):
-        return (str(v.numerator) if v.denominator == 1
-                else f"{v.numerator}/{v.denominator}")
-    if isinstance(v, int):
-        return str(v)
-    return v
-
-
 def _matrix_strings(m):
-    return [[_enc(Fraction(x)) for x in row] for row in m.data]
+    return [[encode_number(Fraction(x)) for x in row] for row in m.data]
 
 
 def _poly_strings(coeffs):
-    return [_enc(Fraction(c)) for c in coeffs]
+    return [encode_number(Fraction(c)) for c in coeffs]
 
 
 def _emit(doc, mode):
@@ -97,8 +88,8 @@ def cmd_homology(args):
     for d in dims:
         h = homology_groups(x, d)
         rows.append({"dim": d, "betti": h.betti,
-                     "invariant_factors": [_enc(f) for f in h.invariant_factors],
-                     "torsion_order": _enc(h.torsion_order)})
+                     "invariant_factors": [encode_number(f) for f in h.invariant_factors],
+                     "torsion_order": encode_number(h.torsion_order)})
     _emit({"complex": x.name, "homology": rows}, args.output)
     return 0
 
@@ -114,7 +105,7 @@ def cmd_basis(args):
         "dim": args.dim,
         "kind": basis.kind,
         "rank": basis.basis.cols,
-        "covolume_squared": _enc(covolume_squared(basis)),
+        "covolume_squared": encode_number(covolume_squared(basis)),
         "columns": _matrix_strings(basis.basis),
     }
     _emit(doc, args.output)
@@ -218,8 +209,8 @@ def cmd_forests(args):
                 basis = lattice(x, args.dim)
                 ctx = context(x, args.dim, basis)
             w = weigh(x, args.dim, cert.subset, basis, ctx)
-            item["weight"] = _enc(w.weight)
-            item["weight_parts"] = {key: _enc(v)
+            item["weight"] = encode_number(w.weight)
+            item["weight_parts"] = {key: encode_number(v)
                                     for key, v in w.weight_parts.items()}
         items.append(item)
     _emit({"complex": x.name, "dim": args.dim, "kind": kind, "param": param,

@@ -16,7 +16,7 @@ from operator import mul
 
 from .complexes import CellSubset, ComplexFormatError, boundary_matrix
 from .homology import integral_boundary_basis, integral_cycle_basis, relative_order
-from .intmat import (IntMatrix, _apply_pivot_ops, _column_hermite_reduce, _pivot_ops,
+from .intmat import (_apply_pivot_ops, _column_hermite_reduce, _pivot_ops,
                      det_bareiss, gram_det, gram_det_of, invariant_factor_product,
                      kernel_basis, kernel_columns, rank)
 
@@ -178,21 +178,24 @@ def enumerate_forests(x, d, kind, param=None):
 class CycleWeightContext:
     """Cached data for Theorem-style cycle weights at one dimension.
 
-    Torsion orders of subcomplexes are read off the boundary columns
-    expressed in a basis of the saturated (d-1)-boundary lattice: the
-    b_{d-1} x n_d table `coords`, whose cokernel restricted to the columns
-    of W is Z^{b_{d-1}} / L_W with torsion t_{d-1}(X_W).  t(X) is the
-    invariant-factor product of the whole raw table.
+    Torsion orders of subcomplexes are read off the boundary matrix: the
+    cokernel of the columns of W of the n_{d-1} x n_d matrix of the boundary
+    map on d-chains has torsion t_{d-1}(X_W), and t(X) is the
+    invariant-factor product of the whole matrix.
 
-    For the subcomplexes the table is reduced once, by unimodular row
-    operations, to row Hermite form T (the rows of `coords` put in canonical
-    Hermite form by _column_hermite_reduce).  Row operations change the
-    basis of Z^{b_{d-1}} only, so every cokernel, and its torsion, is the
-    same for T as for `coords`.  A row whose pivot is 1 has the unit vector
-    e_i as its pivot column: the rows below are zero there and the rows
-    above are reduced into [0, 1).  The construction checks that T has the
-    invariant-factor product t(X) of the raw table, so a reduction that was
-    not unimodular fails before any subset is weighed.
+    For the subcomplexes the matrix is reduced once, by unimodular row
+    operations, to row Hermite form T with b_{d-1} nonzero rows (its rows put
+    in canonical Hermite form by _column_hermite_reduce).  Row operations
+    change the basis of Z^{n_{d-1}} only and the dropped zero rows add free
+    summands only, so every cokernel has the same torsion for T as for the
+    boundary matrix.  T depends only on the row lattice, which is also that
+    of the boundary columns in coordinates of a basis of the saturated
+    boundary lattice (a direct summand), so T is that table's Hermite form
+    too.  A row whose pivot is 1 has the unit vector e_i as its pivot
+    column: the rows below are zero there and the rows above are reduced
+    into [0, 1).  The construction checks that T has the invariant-factor
+    product t(X) of the raw boundary matrix, so a reduction that was not
+    unimodular fails before any subset is weighed.
 
     Two routes read t(X_W) off T.  twin_table turns T into one twin row
     per cell, so that the enumeration engine carries t(X_W) down its DFS as
@@ -204,7 +207,6 @@ class CycleWeightContext:
     """
 
     def __init__(self, x, d, basis):
-        from .homology import rational_solve, saturate_columns
         if basis.kind != "cycles" or basis.dimension != d:
             raise ComplexFormatError("cycle_weight needs a cycle basis at d")
         self.x = x
@@ -213,15 +215,9 @@ class CycleWeightContext:
         bd = boundary_matrix(x, d)
         self.b_low = rank(bd)
         self.z = self.a.cols
-        if self.b_low:
-            bbar = saturate_columns(bd)
-            coords = rational_solve(bbar, bd).to_integer()
-        else:
-            coords = IntMatrix(0, x.n_cells(d), [])
-        self.coords = coords
-        self.t_x = invariant_factor_product([row[:] for row in coords.data])
-        table = [row[:] for row in coords.data]
-        table = table[:_column_hermite_reduce(table, coords.cols)]
+        self.t_x = invariant_factor_product([row[:] for row in bd.data])
+        table = [row[:] for row in bd.data]
+        table = table[:_column_hermite_reduce(table, bd.cols)]
         if invariant_factor_product([row[:] for row in table]) != self.t_x:
             raise AssertionError(
                 f"reduced boundary table of {x.name} at d={d} changes t(X)")
@@ -279,11 +275,12 @@ class CycleWeightContext:
         times the cokernel order of the twin rows of S carried through the
         same operations.  The twin rows have n_d - b_{d-1} entries, as many
         as the cycle rows.  With S empty this is t(X), so t0 is checked
-        against the invariant-factor product of the raw table.
+        against the invariant-factor product of the raw boundary matrix.
 
         The twins are read from unit_rows and other_rows when called.
         """
-        n = self.coords.cols
+        bd = boundary_matrix(self.x, self.d)
+        n = bd.cols
         unit = dict(self.unit_rows)
         q_cols = [j for j in range(n) if j not in unit]
         twins = [[unit[c][j] for j in q_cols] if c in unit
@@ -296,7 +293,7 @@ class CycleWeightContext:
             t0 *= gcd(*pivot)
             rest = [_apply_pivot_ops(row, p, ops) for row in rest]
             twins = [_apply_pivot_ops(row, p, ops) for row in twins]
-        t_x = invariant_factor_product([row[:] for row in self.coords.data])
+        t_x = invariant_factor_product([row[:] for row in bd.data])
         if t0 != t_x:
             raise AssertionError(
                 f"twin table of {self.x.name} at d={self.d}: t0 {t0} != t(X) {t_x}")

@@ -1,16 +1,17 @@
 """Integral homology, torsion orders, lattice bases and covolumes.
 
 Everything is computed from Smith/Hermite forms of boundary matrices over
-exact integers; the harmonic projection used for homology covolumes is done
-over rationals by solving normal equations, never floating point.
+exact integers.  The homology covolume is a ratio of two integer Gram
+determinants (a Schur complement), so no normal equations are solved and
+nothing runs in floating point.
 """
 
 from fractions import Fraction
 
 from .complexes import ComplexFormatError, boundary_matrix, boundary_matrix_above
-from .intmat import (IntMatrix, RatMatrix, column_hermite, gram_det,
+from .intmat import (IntMatrix, column_hermite, gram_det, gram_det_of,
                      invariant_factor_product, kernel_basis, rank,
-                     smith_normal_form)
+                     smith_normal_form, solve_bareiss)
 
 
 class HomologySummary:
@@ -109,45 +110,13 @@ def saturate_columns(mat):
     return kernel_basis(left_null.transpose())
 
 
-def rational_solve(a, b):
-    """Solve a X = b exactly for full-column-rank a; entries are Fractions."""
-    m, n = a.rows, a.cols
-    aug = [[Fraction(a.data[i][j]) for j in range(n)]
-           + [Fraction(b.data[i][j]) for j in range(b.cols)]
-           for i in range(m)]
-    width = n + b.cols
-    prow = 0
-    pivots = []
-    for col in range(n):
-        piv = None
-        for i in range(prow, m):
-            if aug[i][col]:
-                piv = i
-                break
-        if piv is None:
-            raise ValueError("matrix does not have full column rank")
-        aug[prow], aug[piv] = aug[piv], aug[prow]
-        inv = 1 / aug[prow][col]
-        aug[prow] = [v * inv for v in aug[prow]]
-        for i in range(m):
-            if i != prow and aug[i][col]:
-                f = aug[i][col]
-                row_i, row_p = aug[i], aug[prow]
-                for j in range(col, width):
-                    row_i[j] -= f * row_p[j]
-        pivots.append(col)
-        prow += 1
-    for i in range(prow, m):
-        if any(aug[i][n:]):
-            raise ValueError("inconsistent system")
-    sol = [[aug[r][n + j] for j in range(b.cols)] for r in range(n)]
-    return RatMatrix(n, b.cols, sol)
-
-
-def integer_inverse(u):
-    """Exact inverse of a unimodular integer matrix."""
-    inv = rational_solve(u, IntMatrix.identity(u.rows))
-    return inv.to_integer()
+def _integral_solution(a, b):
+    """The integer X with A X = B, for A of full column rank, by
+    solve_bareiss and one exact division by its D."""
+    d, sol = solve_bareiss(a, b)
+    if any(v % d for row in sol.data for v in row):
+        raise AssertionError(f"solution of an integral system has denominator {d}")
+    return IntMatrix(sol.rows, sol.cols, [[v // d for v in row] for row in sol.data])
 
 
 def homology_lift_basis(x, d):
@@ -164,34 +133,13 @@ def homology_lift_basis(x, d):
     b_sat = saturate_columns(b) if b.cols else b
     if b_sat.cols == 0:
         return z
-    coords = rational_solve(z, b_sat).to_integer()
+    coords = _integral_solution(z, b_sat)
     snf = smith_normal_form(coords)
     if snf.invariant_factors() != [1] * coords.cols:
         raise AssertionError("saturated boundary lattice not a direct summand")
-    u_inv = integer_inverse(snf.u)
+    u_inv = _integral_solution(snf.u, IntMatrix.identity(z.cols))
     lift_coords = u_inv.submatrix(range(z.cols), range(coords.cols, z.cols))
     return z.mul(lift_coords)
-
-
-def harmonic_projection_gram(x, d, lift):
-    """Gram matrix of the lift columns projected off the boundary span."""
-    b = integral_boundary_basis(x, d).basis
-    h = lift.cols
-    if h == 0:
-        return RatMatrix(0, 0, [])
-    cols = [[Fraction(lift.data[i][j]) for i in range(lift.rows)]
-            for j in range(h)]
-    if b.cols:
-        gram_b = b.transpose().mul(b)
-        bt_lift = b.transpose().mul(lift)
-        coeffs = rational_solve(gram_b, bt_lift)  # (B^t B)^{-1} B^t lift
-        for j in range(h):
-            for i in range(lift.rows):
-                cols[j][i] -= sum(Fraction(b.data[i][l]) * coeffs.data[l][j]
-                                  for l in range(b.cols))
-    data = [[sum(ci * cj for ci, cj in zip(cols[a], cols[c])) for c in range(h)]
-            for a in range(h)]
-    return RatMatrix(h, h, data)
 
 
 def homology_covolume_squared(x, d):
@@ -200,17 +148,20 @@ def homology_covolume_squared(x, d):
     Computed both as the quotient formula
         covol^2(cycles) * t_d^2 / covol^2(boundaries)
     and directly as the Gram determinant of the orthogonal projection of the
-    canonical homology lift onto the harmonic subspace; the two must agree.
+    canonical homology lift L off the boundary span; the two must agree.
+    The projection's Gram matrix is the Schur complement of B^t B in the
+    Gram matrix of the columns of B and L, so its determinant is
+    gram_det(B, L) / gram_det(B), a ratio of two integers.
     """
     if not 0 <= d <= x.dimension:
         raise ComplexFormatError(f"dimension {d} out of range 0..{x.dimension}")
     z = integral_cycle_basis(x, d)
     b = integral_boundary_basis(x, d)
     t = torsion_order(x, d)
-    quotient = Fraction(covolume_squared(z) * t * t, covolume_squared(b))
+    covol_b = covolume_squared(b)
+    quotient = Fraction(covolume_squared(z) * t * t, covol_b)
     lift = homology_lift_basis(x, d)
-    gram = harmonic_projection_gram(x, d, lift)
-    direct = gram.det() if gram.rows else Fraction(1)
+    direct = Fraction(gram_det_of([*zip(*b.basis.data), *zip(*lift.data)]), covol_b)
     if direct != quotient:
         raise AssertionError(
             f"homology covolume mismatch at d={d}: {direct} vs {quotient}")

@@ -1,12 +1,15 @@
-"""Exact dense linear algebra over arbitrary-precision integers and rationals.
+"""Exact dense linear algebra over arbitrary-precision integers.
 
-Matrices are thin wrappers around lists of Python ints (IntMatrix) or
-fractions.Fraction (RatMatrix); every routine is pure and returns fresh
-objects.  No floating point anywhere.  Empty shapes (0xn, nx0, 0x0) are
-legal throughout, with the empty-product conventions det(0x0) = 1 and
-char poly of the 0x0 matrix = 1.  Characteristic polynomials, of either
-matrix type, come from one integer Faddeev-LeVerrier kernel, denominators
-cleared by their lcm.
+Every elimination runs on lists of Python ints (IntMatrix): Bareiss
+determinants and solves, Hermite and Smith forms, and one integer
+Faddeev-LeVerrier kernel for characteristic polynomials.  RatMatrix, over
+fractions.Fraction, is only the value type of rational outputs (weighted
+Laplacians, weighted Kalai matrices, geometric cycle bases); their
+characteristic polynomials clear denominators by their lcm and run on the
+integer kernel.  Every routine is pure and returns fresh objects, and there
+is no floating point anywhere.  Empty shapes (0xn, nx0, 0x0) are legal
+throughout, with the empty-product conventions det(0x0) = 1 and char poly
+of the 0x0 matrix = 1.
 """
 
 from fractions import Fraction
@@ -102,10 +105,6 @@ class RatMatrix:
         cols = len(data[0]) if rows else 0
         return cls(rows, cols, data)
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i][j]
-
     def __eq__(self, other):
         return (isinstance(other, RatMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self.data == other.data)
@@ -126,26 +125,6 @@ class RatMatrix:
         for arow in self.data:
             out.append([sum(a * b for a, b in zip(arow, bcol)) for bcol in bt])
         return RatMatrix(self.rows, other.cols, out)
-
-    def submatrix(self, row_idx, col_idx):
-        row_idx = list(row_idx)
-        col_idx = list(col_idx)
-        return RatMatrix(len(row_idx), len(col_idx),
-                         [[self.data[i][j] for j in col_idx] for i in row_idx])
-
-    def is_integral(self):
-        return all(x.denominator == 1 for row in self.data for x in row)
-
-    def to_integer(self):
-        if not self.is_integral():
-            raise ValueError("matrix has non-integer entries")
-        return IntMatrix(self.rows, self.cols,
-                         [[int(x) for x in row] for row in self.data])
-
-    def det(self):
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        return det_rational([row[:] for row in self.data])
 
 
 class IntPolynomial:
@@ -396,6 +375,41 @@ def invariant_factor_product(m):
 def rank(a):
     """Rank over the rationals, computed fraction-free."""
     return rank_of_rows([row[:] for row in a.data], a.cols)
+
+
+def solve_bareiss(a, b):
+    """Fraction-free Gauss-Jordan solve of A X = B for A of full column rank.
+
+    Returns (D, X) with X an integer matrix, D > 0 and A X = D B; D is the
+    |determinant| of the n pivot rows of A, so X / D is the unique rational
+    solution.  Step k turns every other row into (p_k row - a_ik row_k) /
+    p_{k-1}, p_k the k-th pivot; each division is exact, since every entry
+    is a minor of [A | B] (Bareiss, Math. Comp. 22, 1968).  Raises ValueError
+    when A is rank deficient or the system is inconsistent.
+    """
+    m, n = a.rows, a.cols
+    if b.rows != m:
+        raise ValueError("shape mismatch")
+    aug = [ra + rb for ra, rb in zip(a.data, b.data)]
+    prev = 1
+    for c in range(n):
+        piv = next((i for i in range(c, m) if aug[i][c]), None)
+        if piv is None:
+            raise ValueError("matrix does not have full column rank")
+        aug[c], aug[piv] = aug[piv], aug[c]
+        prow = aug[c][c:]
+        pv = prow[0]
+        for i in range(m):
+            if i != c:
+                row = aug[i]
+                f = row[c]
+                row[c:] = [(pv * x - f * y) // prev for x, y in zip(row[c:], prow)]
+        prev = pv
+    if any(any(row[n:]) for row in aug[n:]):
+        raise ValueError("inconsistent system")
+    sign = -1 if prev < 0 else 1
+    return sign * prev, IntMatrix(n, b.cols, [[sign * x for x in row[n:]]
+                                              for row in aug[:n]])
 
 
 def smith_normal_form(a):

@@ -65,10 +65,12 @@ def reduced_incidence(n, k):
     """Boundary of k-faces of the (n-1)-simplex restricted to (k-1)-rows
     avoiding the first vertex: C(n-1,k) x C(n,k+1)."""
     _check_params(n, k)
-    x = standard_simplex(n)
+    return _reduced_incidence(standard_simplex(n), k)
+
+
+def _reduced_incidence(x, k):
     bd = boundary_matrix(x, k)
-    rows = _faces_without_first_vertex(x, k - 1)
-    return bd.submatrix(rows, range(bd.cols))
+    return bd.submatrix(_faces_without_first_vertex(x, k - 1), range(bd.cols))
 
 
 def phi_basis(n, k):
@@ -79,7 +81,10 @@ def phi_basis(n, k):
     rows gives the identity, so the columns form an integral basis.
     """
     _check_params(n, k)
-    x = standard_simplex(n)
+    return _phi_basis(standard_simplex(n), k)
+
+
+def _phi_basis(x, k):
     bd = boundary_matrix(x, k)
     cols = []
     lookup = {cell.id: j for j, cell in enumerate(x.cells[k])}
@@ -157,45 +162,34 @@ def build_kalai_matrix(n, k, kind, weights=None):
     _check_params(n, k)
     ws = _parse_weights(n, weights)
     if kind == "incidence":
-        inc = reduced_incidence(n, k)
+        x = standard_simplex(n)
+        inc = _reduced_incidence(x, k)
         if ws is None:
             return inc.mul(inc.transpose())
-        x = standard_simplex(n)
-        mid = _face_weight_diagonal(x, k, ws)
-        rows = [_face_weight_diagonal(x, k - 1, ws)[p]
-                for p in _faces_without_first_vertex(x, k - 1)]
-        core = _weighted_gram(inc, mid)
-        return _similarity_representative(core, rows)
+        low = _face_weight_diagonal(x, k - 1, ws)
+        core = _weighted_gram(inc, _face_weight_diagonal(x, k, ws))
+        return _similarity_representative(
+            core, [low[p] for p in _faces_without_first_vertex(x, k - 1)])
     if kind == "laplacian":
         x = standard_simplex(n - 1)
-        bd = boundary_matrix(x, k) if k <= x.dimension else None
         n_rows = len(x.cells[k - 1])
-        if bd is None:
-            core = IntMatrix.zeros(n_rows, n_rows)
-        else:
-            core = bd.mul(bd.transpose())
+        if k > x.dimension:
+            return IntMatrix.zeros(n_rows, n_rows)
+        bd = boundary_matrix(x, k)
         if ws is None:
-            return core
+            return bd.mul(bd.transpose())
         sub_ws = ws[:n - 1]
-        mid = (_face_weight_diagonal(x, k, sub_ws)
-               if bd is not None else [])
-        rows = _face_weight_diagonal(x, k - 1, sub_ws)
-        if bd is None:
-            zero = RatMatrix(n_rows, n_rows,
-                             [[Fraction(0)] * n_rows for _ in range(n_rows)])
-            return zero
-        core = _weighted_gram(bd, mid)
-        return _similarity_representative(core, rows)
+        core = _weighted_gram(bd, _face_weight_diagonal(x, k, sub_ws))
+        return _similarity_representative(core, _face_weight_diagonal(x, k - 1, sub_ws))
     if kind == "mesh":
-        phi = phi_basis(n, k)
+        x = standard_simplex(n)
+        phi = _phi_basis(x, k)
         if ws is None:
             return phi.transpose().mul(phi)
-        x = standard_simplex(n)
-        mid = _face_weight_diagonal(x, k - 1, ws)
-        rows = [_face_weight_diagonal(x, k - 1, ws)[p]
-                for p in _faces_without_first_vertex(x, k - 1)]
-        core = _weighted_gram(phi.transpose(), mid)
-        return _similarity_representative(core, rows)
+        low = _face_weight_diagonal(x, k - 1, ws)
+        core = _weighted_gram(phi.transpose(), low)
+        return _similarity_representative(
+            core, [low[p] for p in _faces_without_first_vertex(x, k - 1)])
     raise ComplexFormatError(f"unknown kind {kind!r}")
 
 

@@ -33,10 +33,9 @@ from operator import mul
 from .complexes import CellSubset, ComplexFormatError, boundary_matrix, boundary_matrix_above
 from .forests import (BoundaryWeightContext, CycleWeightContext, _column_vectors,
                       boundary_weight, greedy_basis, kirchhoff_pair_weight)
-from .homology import (integral_boundary_basis, integral_cycle_basis,
-                       rational_solve, relative_order)
+from .homology import integral_boundary_basis, integral_cycle_basis, relative_order
 from .intmat import (IntMatrix, RatMatrix, _apply_pivot_ops, _pivot_ops, char_poly,
-                     char_poly_rational, rank)
+                     char_poly_rational, rank, solve_bareiss)
 
 MESH_KINDS = ("cycles", "boundaries", "laplacian", "weighted_laplacian")
 
@@ -67,6 +66,17 @@ class MeshMatrix:
                 f"{self.matrix.rows}x{self.matrix.cols}, {self.basis_provenance})")
 
 
+def encode_number(v):
+    """An int or Fraction as a decimal string, "p" or "p/q" in lowest terms,
+    so that large values survive JSON; anything else is returned as is."""
+    if isinstance(v, Fraction):
+        return (str(v.numerator) if v.denominator == 1
+                else f"{v.numerator}/{v.denominator}")
+    if isinstance(v, int):
+        return str(v)
+    return v
+
+
 class VerificationReport:
     """Per-coefficient comparison of both sides of a theorem."""
 
@@ -79,19 +89,12 @@ class VerificationReport:
         self.notes = list(notes)
 
     def to_json_dict(self, deterministic=False):
-        def enc(v):
-            if isinstance(v, Fraction):
-                return (str(v.numerator) if v.denominator == 1
-                        else f"{v.numerator}/{v.denominator}")
-            if isinstance(v, int):
-                return str(v)
-            return v
-
         rows = []
         for row in self.rows:
             out = {}
             for key, val in row.items():
-                out[key] = enc(val) if key not in ("k", "certificates", "pass", "side") else val
+                out[key] = (encode_number(val)
+                            if key not in ("k", "certificates", "pass", "side") else val)
             rows.append(out)
         return {
             "theorem": self.theorem,
@@ -172,7 +175,8 @@ def geometric_cycle_basis(x, d, v0):
     """Rational cycle basis attached to a spanning forest V0.
 
     For each d-cell s outside V0, the column is the unique rational cycle
-    supported on V0 plus s whose coefficient on s is +1.
+    supported on V0 plus s whose coefficient on s is +1.  The coefficients
+    on V0 come from one fraction-free solve, divided by its D once.
     """
     bd = boundary_matrix(x, d)
     v0pos = x.positions(d, v0.members)
@@ -184,19 +188,19 @@ def geometric_cycle_basis(x, d, v0):
     n = bd.rows
     rhs = IntMatrix(n, len(rest),
                     [[-bd.data[i][j] for j in rest] for i in range(n)])
-    coeffs = rational_solve(sub, rhs) if v0pos else RatMatrix(0, len(rest), [])
-    cols = x.n_cells(d)
-    out = [[Fraction(0)] * len(rest) for _ in range(cols)]
+    den, coeffs = solve_bareiss(sub, rhs)
+    out = [[0] * len(rest) for _ in range(bd.cols)]
     for jj, j in enumerate(rest):
-        out[j][jj] = Fraction(1)
+        out[j][jj] = 1
         for ii, i in enumerate(v0pos):
-            out[i][jj] = coeffs.data[ii][jj]
-    return RatMatrix(cols, len(rest), out)
+            out[i][jj] = Fraction(coeffs.data[ii][jj], den)
+    return RatMatrix(bd.cols, len(rest), out)
 
 
 def geometric_boundary_basis(x, d, v1):
-    """Rational d-boundary basis from a (d+1)-dimensional spanning forest V1:
-    the boundaries of the cells of V1, in cell order."""
+    """Integral d-boundary basis from a (d+1)-dimensional spanning forest V1:
+    the boundaries of the cells of V1, in cell order (rationally a basis of
+    the boundary space)."""
     if v1.dimension != d + 1:
         raise ComplexFormatError("V1 must live at dimension d+1")
     bd = boundary_matrix_above(x, d)
@@ -205,8 +209,7 @@ def geometric_boundary_basis(x, d, v1):
     sub = bd.submatrix(range(bd.rows), v1pos)
     if len(v1pos) != b_up or rank(sub) != b_up:
         raise ComplexFormatError("V1 is not a spanning forest at dimension d+1")
-    return RatMatrix(sub.rows, sub.cols,
-                     [[Fraction(v) for v in row] for row in sub.data])
+    return sub
 
 
 # ---------------------------------------------------------------------------
@@ -734,8 +737,7 @@ def verify_geometric_theorems(x, d, v0=None, v1=None, processes=None):
         return VerificationReport("geometric", d, rows, passed, elapsed, notes)
     g1 = geometric_boundary_basis(x, d, v1)
     b = g1.cols
-    mesh1 = g1.to_integer()
-    gram1 = mesh1.transpose().mul(mesh1)
+    gram1 = g1.transpose().mul(g1)
     poly1 = char_poly(gram1)
     v1pos = x.positions(d + 1, v1.members)
     n_low = x.n_cells(d)

@@ -13,6 +13,7 @@ from fractions import Fraction
 from .complexes import ComplexFormatError, boundary_matrix_above, skeleton
 from .homology import homology_covolume_squared, torsion_order
 from .intmat import char_poly, rank
+from .spectra import encode_number
 
 
 class TorsionReport:
@@ -29,9 +30,7 @@ class TorsionReport:
 
     def to_json_dict(self, deterministic=False):
         def frac(v):
-            v = Fraction(v)
-            return (str(v.numerator) if v.denominator == 1
-                    else f"{v.numerator}/{v.denominator}")
+            return encode_number(Fraction(v))
 
         return {
             "complex": self.name,

@@ -124,6 +124,21 @@ def quadruple_pair_weight(monkeypatch):
                         lambda *args: 4 * weight(*args))
 
 
+def double_lift_column(monkeypatch):
+    """Double the first column of every homology_lift_basis, as a wrong lift
+    would: the lattice it spans with the boundaries gets index 2t in the
+    cycles where t is expected, wherever H_d has rank h > 0."""
+    import cellmesh.homology as homology
+    from cellmesh.intmat import IntMatrix
+    lift = homology.homology_lift_basis
+
+    def doubled(x, d):
+        m = lift(x, d)
+        return IntMatrix(m.rows, m.cols, [[2 * row[0]] + row[1:] if row else row
+                                          for row in m.data])
+    monkeypatch.setattr(homology, "homology_lift_basis", doubled)
+
+
 def perturb_kalai_matrix(monkeypatch):
     """Move one entry of every Kalai matrix by 1/7, which breaks its
     annihilating polynomial."""
@@ -139,6 +154,29 @@ def perturb_kalai_matrix(monkeypatch):
         data[0][-1] += Fraction(1, 7)
         return RatMatrix(m.rows, m.cols, data)
     monkeypatch.setattr(kalai, "build_kalai_matrix", perturbed)
+
+
+def rational_solve_oracle(a, b):
+    """The rational X with A X = B by Gauss-Jordan over Fractions, for an
+    integer A of full column rank: a list of Fraction rows.  Raises
+    ValueError when A is rank deficient or the system is inconsistent."""
+    from fractions import Fraction
+    m, n = a.rows, a.cols
+    aug = [[Fraction(v) for v in ra + rb] for ra, rb in zip(a.data, b.data)]
+    for col in range(n):
+        piv = next((i for i in range(col, m) if aug[i][col]), None)
+        if piv is None:
+            raise ValueError("matrix does not have full column rank")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [v * inv for v in aug[col]]
+        for i in range(m):
+            if i != col and aug[i][col]:
+                f = aug[i][col]
+                aug[i] = [v - f * w for v, w in zip(aug[i], aug[col])]
+    if any(any(row[n:]) for row in aug[n:]):
+        raise ValueError("inconsistent system")
+    return [row[n:] for row in aug[:n]]
 
 
 def column_hermite_oracle(a):

@@ -9,8 +9,8 @@ import pytest
 
 from cellmesh.cli import run
 from cellmesh.corpus import write_corpus
-from conftest import (double_t_x, double_torsion, double_v_order, perturb_kalai_matrix,
-                      quadruple_pair_weight)
+from conftest import (double_lift_column, double_t_x, double_torsion, double_v_order,
+                      perturb_kalai_matrix, quadruple_pair_weight)
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
@@ -120,6 +120,19 @@ def test_failed_check_exits_1(capsys, monkeypatch, corpus_dir):
         failing = [row for row in json.loads(out)["rows"] if not row["pass"]]
         assert code == 1 and failing[0]["side"] == side and failing[0]["k"] == k
         assert err == f"verification failed: geometric d=1: row side={side} k={k} lhs != rhs\n"
+
+
+def test_covolume_mismatch_exits_1(capsys, monkeypatch, corpus_dir):
+    # a wrong homology lift breaks the covolume cross-check, which raises in
+    # both covolume and rf: exit 1, one stderr line, nothing on stdout
+    double_lift_column(monkeypatch)
+    for name, argv in (("sphere2", ("--theorem", "covolume", "--dim", "2")),
+                       ("rp2", ("--theorem", "covolume", "--dim", "0")),
+                       ("rp2", ("--theorem", "rf"))):
+        code, out, err = invoke(capsys, "verify", str(corpus_dir / f"{name}.json"), *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("verification failed: homology covolume mismatch")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_usage_error_exits_2(capsys):

@@ -10,10 +10,11 @@ from cellmesh.corpus import point
 from cellmesh.homology import (covolume_squared, homology_covolume_squared,
                                homology_groups, integral_boundary_basis,
                                integral_cycle_basis, relative_order,
-                               saturate_columns, rational_solve, torsion_order)
+                               saturate_columns, torsion_order)
 from cellmesh.intmat import (gram_det, invariant_factor_product, rank,
-                             smith_normal_form)
-from conftest import column_hermite_oracle, random_unimodular, smith_kernel_oracle
+                             smith_normal_form, solve_bareiss)
+from conftest import (column_hermite_oracle, double_lift_column, random_unimodular,
+                      smith_kernel_oracle)
 
 KNOWN_HOMOLOGY = {
     # name -> {dim: (betti, factors)}
@@ -138,9 +139,25 @@ def test_saturation_index_equals_torsion(corpus):
             if b.cols == 0:
                 continue
             sat = saturate_columns(b)
-            coords = rational_solve(sat, b).to_integer()
-            index = invariant_factor_product([row[:] for row in coords.data])
+            den, coords = solve_bareiss(sat, b)
+            assert all(v % den == 0 for row in coords.data for v in row), (name, d)
+            index = invariant_factor_product([[v // den for v in row]
+                                              for row in coords.data])
             assert index == torsion_order(x, d), (name, d)
+
+
+def test_covolume_rejects_wrong_lift(corpus, monkeypatch):
+    # a doubled lift column leaves the quotient route alone and multiplies
+    # the projection Gram determinant by 4, wherever H_d has rank h > 0
+    cases = [(corpus[name], d) for name, d in
+             (("rp2", 0), ("k3", 1), ("sphere2", 2), ("delta5skel2", 2))]
+    for x, d in cases:
+        assert homology_groups(x, d).betti > 0
+        homology_covolume_squared(x, d)
+    double_lift_column(monkeypatch)
+    for x, d in cases:
+        with pytest.raises(AssertionError, match="homology covolume mismatch"):
+            homology_covolume_squared(x, d)
 
 
 def test_relative_order_examples(corpus):

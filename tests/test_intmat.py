@@ -10,9 +10,10 @@ import pytest
 from cellmesh.intmat import (IntMatrix, IntPolynomial, RatMatrix, char_poly,
                              char_poly_rational, column_hermite, det_bareiss,
                              gram_det, invariant_factor_product, kernel_basis,
-                             principal_minor_sum, rank, smith_normal_form)
-from conftest import (column_hermite_oracle, random_int_matrix,
-                      random_unimodular, smith_kernel_oracle)
+                             principal_minor_sum, rank, smith_normal_form,
+                             solve_bareiss)
+from conftest import (column_hermite_oracle, random_int_matrix, random_unimodular,
+                      rational_solve_oracle, smith_kernel_oracle)
 
 
 def naive_det(m):
@@ -204,6 +205,44 @@ def test_det_bareiss_vs_naive(rng):
 
 # --- characteristic polynomials ---------------------------------------------
 
+def test_solve_bareiss_matches_fraction_oracle():
+    # seeded full-column-rank systems with m > n rows: B = A Y has the integer
+    # solution Y, and (A M, A Y) with M non-unimodular has a rational one
+    rng = random.Random(105)
+    done = {True: 0, False: 0}  # integral solution -> systems checked
+    while min(done.values()) < 150:
+        n = rng.randint(1, 5)
+        m = n + rng.randint(1, 3)
+        a = random_int_matrix(rng, m, n, -6, 6)
+        if rank(a) < n:
+            continue
+        y = random_int_matrix(rng, n, rng.randint(1, 3), -9, 9)
+        b = a.mul(y)
+        if rng.random() < 0.5:
+            mm = random_int_matrix(rng, n, n, -3, 3)
+            if abs(det_bareiss([row[:] for row in mm.data])) < 2:
+                continue
+            a = a.mul(mm)
+        den, x = solve_bareiss(a, b)
+        assert den > 0
+        assert a.mul(x).data == [[den * v for v in row] for row in b.data]
+        want = rational_solve_oracle(a, b)
+        assert [[Fraction(v, den) for v in row] for row in x.data] == want
+        done[all(v.denominator == 1 for row in want for v in row)] += 1
+
+
+def test_solve_bareiss_rejects_bad_systems():
+    dependent = IntMatrix.from_rows([[1, 2], [2, 4], [3, 6]])
+    rhs = IntMatrix.from_rows([[1], [2], [3]])
+    for solve in (solve_bareiss, rational_solve_oracle):
+        with pytest.raises(ValueError, match="full column rank"):
+            solve(dependent, rhs)
+        with pytest.raises(ValueError, match="inconsistent"):
+            solve(IntMatrix.from_rows([[1], [0]]), IntMatrix.from_rows([[0], [1]]))
+    assert solve_bareiss(IntMatrix(2, 0, [[], []]), IntMatrix.zeros(2, 1)) == \
+        (1, IntMatrix(0, 1, []))
+
+
 def test_char_poly_examples():
     assert char_poly(IntMatrix.identity(2)).coeffs == (1, -2, 1)
     assert char_poly(IntMatrix.from_rows([[0, 1], [1, 0]])).coeffs == (-1, 0, 1)
@@ -343,7 +382,8 @@ def test_schur_determinant_suite():
         b = [[Fraction(m.data[i][j]) for j in range(r, n)] for i in range(r)]
         c = [[Fraction(m.data[i][j]) for j in range(r)] for i in range(r, n)]
         d = [[Fraction(m.data[i][j]) for j in range(r, n)] for i in range(r, n)]
-        a_inv = _invert_fraction(a)
+        a_inv = rational_solve_oracle(m.submatrix(range(r), range(r)),
+                                      IntMatrix.identity(r))
         schur = [[d[i][j] - sum(c[i][l] * sum(a_inv[l][p] * b[p][j]
                                               for p in range(r))
                                 for l in range(r))
@@ -365,22 +405,6 @@ def _gram_fraction(rows):
 def _det_fraction(m):
     from cellmesh.intmat import det_rational
     return det_rational([[Fraction(x) for x in row] for row in m])
-
-
-def _invert_fraction(m):
-    n = len(m)
-    aug = [[Fraction(m[i][j]) for j in range(n)]
-           + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
 
 
 def _adjugate(a):
