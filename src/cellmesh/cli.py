@@ -222,7 +222,7 @@ def _covolume_report(x, d):
     z = integral_cycle_basis(x, d)
     b = integral_boundary_basis(x, d)
     t = torsion_order(x, d)
-    hcov = homology_covolume_squared(x, d)  # asserts quotient == projection
+    hcov = homology_covolume_squared(x, d, z, b)  # asserts quotient == projection
     lhs = covolume_squared(z) * t * t
     rhs = covolume_squared(b) * hcov
     rows = [{

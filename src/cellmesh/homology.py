@@ -119,17 +119,19 @@ def _integral_solution(a, b):
     return IntMatrix(sol.rows, sol.cols, [[v // d for v in row] for row in sol.data])
 
 
-def homology_lift_basis(x, d):
+def homology_lift_basis(x, d, cycles=None, boundaries=None):
     """Integral cycles projecting to a basis of H_d(X;Z)/torsion.
 
     Returns an n_d x betti integer matrix.  The choice is canonical given
-    the Hermite-canonical cycle and boundary bases.
+    the Hermite-canonical cycle and boundary bases, which a caller that
+    has them passes as `cycles` and `boundaries`.
     """
-    z = integral_cycle_basis(x, d).basis
+    z = (cycles if cycles is not None else integral_cycle_basis(x, d)).basis
     if z.cols == 0:
         n = x.n_cells(d)
         return IntMatrix(n, 0, [[] for _ in range(n)])
-    b = integral_boundary_basis(x, d).basis
+    b = (boundaries if boundaries is not None
+         else integral_boundary_basis(x, d)).basis
     b_sat = saturate_columns(b) if b.cols else b
     if b_sat.cols == 0:
         return z
@@ -142,7 +144,7 @@ def homology_lift_basis(x, d):
     return z.mul(lift_coords)
 
 
-def homology_covolume_squared(x, d):
+def homology_covolume_squared(x, d, cycles=None, boundaries=None):
     """Squared covolume of the projected homology lattice in the harmonics.
 
     Computed both as the quotient formula
@@ -151,16 +153,18 @@ def homology_covolume_squared(x, d):
     canonical homology lift L off the boundary span; the two must agree.
     The projection's Gram matrix is the Schur complement of B^t B in the
     Gram matrix of the columns of B and L, so its determinant is
-    gram_det(B, L) / gram_det(B), a ratio of two integers.
+    gram_det(B, L) / gram_det(B), a ratio of two integers.  The cycle and
+    boundary bases are built once, here or by a caller that passes them as
+    `cycles` and `boundaries`, and handed to the lift.
     """
     if not 0 <= d <= x.dimension:
         raise ComplexFormatError(f"dimension {d} out of range 0..{x.dimension}")
-    z = integral_cycle_basis(x, d)
-    b = integral_boundary_basis(x, d)
+    z = cycles if cycles is not None else integral_cycle_basis(x, d)
+    b = boundaries if boundaries is not None else integral_boundary_basis(x, d)
     t = torsion_order(x, d)
     covol_b = covolume_squared(b)
     quotient = Fraction(covolume_squared(z) * t * t, covol_b)
-    lift = homology_lift_basis(x, d)
+    lift = homology_lift_basis(x, d, z, b)
     direct = Fraction(gram_det_of([*zip(*b.basis.data), *zip(*lift.data)]), covol_b)
     if direct != quotient:
         raise AssertionError(

@@ -46,10 +46,6 @@ class IntMatrix:
     def zeros(cls, rows, cols):
         return cls(rows, cols, [[0] * cols for _ in range(rows)])
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i][j]
-
     def __eq__(self, other):
         return (isinstance(other, IntMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self.data == other.data)

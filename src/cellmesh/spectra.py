@@ -21,6 +21,14 @@ side as t0 times the twin cokernel order of the reduced boundary table
 (CycleWeightContext.twin_table), must equal the engine's cokernel order of
 the chosen cycle-matrix rows.  Geometric's cycle side runs the same check
 on the row sets of size z, whose complements are the spanning forests.
+
+Every verifier's right-hand side comes from one of two helpers.
+independent_subset_gram_sums is the one leaf fold, split over the process
+pool by smallest index: a leaf per subset checks it and returns a key and
+a summand (by default, the subset size and its Gram determinant).
+_pair_sums serves Kirchhoff and geometric's boundary side: it enumerates
+the (forest, coforest) pairs and checks each one, or, above one estimate
+of their number, collapses the coforest sums by Cauchy-Binet onto the fold.
 """
 
 import os
@@ -33,7 +41,7 @@ from operator import mul
 from .complexes import CellSubset, ComplexFormatError, boundary_matrix, boundary_matrix_above
 from .forests import (BoundaryWeightContext, CycleWeightContext, _column_vectors,
                       boundary_weight, greedy_basis, kirchhoff_pair_weight)
-from .homology import integral_boundary_basis, integral_cycle_basis, relative_order
+from .homology import integral_boundary_basis, integral_cycle_basis
 from .intmat import (IntMatrix, RatMatrix, _apply_pivot_ops, _pivot_ops, char_poly,
                      char_poly_rational, rank, solve_bareiss)
 
@@ -368,42 +376,46 @@ def independent_subsets(vectors, max_size=None, first=None, twins=None, min_size
 _POOL_MIN_SUBSETS = 120_000
 
 
-def independent_subset_gram_sums(vectors, rank_cap, processes=1, check=None, twins=None):
-    """Sum of Gram determinants over all nonempty independent subsets.
+def independent_subset_gram_sums(vectors, rank_cap, processes=1, leaf=None, twins=None,
+                                 min_size=1):
+    """The one pooled leaf fold: {key: [sum, count]} over the independent
+    subsets of `vectors` with at least `min_size` and at most `rank_cap`
+    members, `rank_cap` bounding the rank of `vectors`.
 
-    Returns {size: [sum_of_gram_dets, subset_count]}.  `rank_cap` bounds the
-    rank of `vectors`.  `check(index tuple, gram, cokernel order)`, when
-    given, runs at every subset and raises on a failed identity; it must be
-    picklable.  With `twins` (see independent_subsets) the check also gets
-    the twin cokernel order as a fourth argument.
+    Without `leaf` the key is the subset size and the summand its Gram
+    determinant.  `leaf(index tuple, gram, cokernel order)`, when given,
+    runs at every subset, raises on a failed identity and returns (key,
+    summand); it must be picklable.  With `twins` (see independent_subsets)
+    the leaf also gets the twin cokernel order as a fourth argument.
     The subsets are split by smallest index over `processes` workers when
     processes > 1 and sum_{j <= rank_cap} C(n, j) > _POOL_MIN_SUBSETS; the
     result is the same for any process count.
     """
     n = len(vectors)
     if processes > 1 and sum(comb(n, j) for j in range(rank_cap + 1)) > _POOL_MIN_SUBSETS:
-        parts = _run_parallel(_subset_gram_sums,
-                              [(vectors, rank_cap, i, check, twins) for i in range(n)],
-                              processes)
+        tasks = [(vectors, rank_cap, i, leaf, twins, min_size) for i in range(n)]
+        parts = _run_parallel(_fold, tasks, processes)
     else:
-        parts = [_subset_gram_sums((vectors, rank_cap, None, check, twins))]
+        parts = [_fold((vectors, rank_cap, None, leaf, twins, min_size))]
     total = {}
     for part in parts:
-        for size, (s, c) in part.items():
-            acc = total.setdefault(size, [0, 0])
+        for key, (s, c) in part.items():
+            acc = total.setdefault(key, [0, 0])
             acc[0] += s
             acc[1] += c
     return total
 
 
-def _subset_gram_sums(args):
-    vectors, rank_cap, first, check, twins = args
+def _fold(args):
+    vectors, rank_cap, first, leaf, twins, min_size = args
     out = {}
-    for found in independent_subsets(vectors, rank_cap, first, twins):
-        if check is not None:
-            check(*found)
-        acc = out.setdefault(len(found[0]), [0, 0])
-        acc[0] += found[1]
+    for found in independent_subsets(vectors, rank_cap, first, twins, min_size):
+        if leaf is None:
+            key, summand = len(found[0]), found[1]
+        else:
+            key, summand = leaf(*found)
+        acc = out.setdefault(key, [0, 0])
+        acc[0] += summand
         acc[1] += 1
     return out
 
@@ -435,12 +447,35 @@ def default_processes():
     return value
 
 
+def _rows(ks, lhs, rhs, side=None):
+    """One report row per k in ks, comparing lhs(k) with the fold's sum in
+    rhs[k] = [sum, count] ([0, 0] when absent); the keys run side (when
+    given), k, lhs, rhs, certificates, pass."""
+    rows = []
+    for k in ks:
+        left = lhs(k)
+        right, count = rhs.get(k, (0, 0))
+        row = {} if side is None else {"side": side}
+        row.update({"k": k, "lhs": left, "rhs": right, "certificates": count,
+                    "pass": left == right})
+        rows.append(row)
+    return rows
+
+
+def _report(theorem, d, rows, start, notes=()):
+    """The report on `rows`, passing when every row passes, timed from the
+    time.monotonic() reading `start`."""
+    return VerificationReport(theorem, d, rows, all(row["pass"] for row in rows),
+                              (time.monotonic() - start) * 1000.0, notes)
+
+
 # ---------------------------------------------------------------------------
 # Theorem 1: cycle mesh matrix vs k-augmented spanning forests.
 # ---------------------------------------------------------------------------
 
 def _trent_leaf_check(t0, t_x, chosen, gram, cok, twin_cok):
-    """Trent's leaf check, the cokernel-order identity.
+    """Trent's leaf check, the cokernel-order identity; returns the fold's
+    (subset size, gram).
 
     The rows `chosen` of the cycle matrix are independent, so their
     complement W is a k-augmented spanning forest whose weight is `gram`,
@@ -462,6 +497,7 @@ def _trent_leaf_check(t0, t_x, chosen, gram, cok, twin_cok):
             f"cokernel order {cok} != torsion ratio {ratio} on rows {list(chosen)}")
     if gram % (ratio * ratio):
         raise AssertionError("covolume not divisible by squared torsion ratio")
+    return len(chosen), gram
 
 
 def verify_theorem1(x, d, basis=None, processes=None):
@@ -488,22 +524,12 @@ def verify_theorem1(x, d, basis=None, processes=None):
     ctx = CycleWeightContext(x, d, basis)
     twins, t0 = ctx.twin_table()
     a_rows = [tuple(row) for row in basis.basis.data]
-    rhs = {k: [0, 0] for k in range(z + 1)}
-    rhs[z] = [1, 0]  # leading coefficient: empty-product convention
     sums = independent_subset_gram_sums(a_rows, z, processes,
                                         partial(_trent_leaf_check, t0, ctx.t_x), twins)
-    rhs.update((z - size, acc) for size, acc in sums.items())
-
-    rows = []
-    passed = True
-    for k in range(z, -1, -1):
-        lhs = (-1) ** (z - k) * poly.coefficient(k)
-        ok = lhs == rhs[k][0]
-        passed = passed and ok
-        rows.append({"k": k, "lhs": lhs, "rhs": rhs[k][0],
-                     "certificates": rhs[k][1], "pass": ok})
-    elapsed = (time.monotonic() - start) * 1000.0
-    return VerificationReport("trent", d, rows, passed, elapsed)
+    rhs = {z - size: acc for size, acc in sums.items()}
+    rhs[z] = [1, 0]  # leading coefficient: empty-product convention
+    rows = _rows(range(z, -1, -1), lambda k: (-1) ** (z - k) * poly.coefficient(k), rhs)
+    return _report("trent", d, rows, start)
 
 
 # ---------------------------------------------------------------------------
@@ -513,10 +539,12 @@ def verify_theorem1(x, d, basis=None, processes=None):
 def _boundary_leaf_check(ctx, basis, chosen, gram, cok):
     """Theorem 2's leaf check: the rows `chosen` of the boundary matrix are
     a k-reduced spanning coforest, whose relative-order form in
-    boundary_weight must give the engine's Gram determinant `gram`."""
+    boundary_weight must give the engine's Gram determinant `gram`.
+    Returns the fold's (subset size, gram)."""
     ids = ctx.x.cell_ids(ctx.d)
     subset = CellSubset(ctx.d, [ids[i] for i in chosen])
     boundary_weight(ctx.x, ctx.d, subset, basis, ctx, direct=gram)
+    return len(chosen), gram
 
 
 def verify_theorem2(x, d, basis=None, processes=None):
@@ -534,39 +562,61 @@ def verify_theorem2(x, d, basis=None, processes=None):
     mesh = mesh_matrix_boundaries(x, d, basis)
     poly = char_poly(mesh.matrix)
     b = basis.basis.cols
-    rhs = {k: [0, 0] for k in range(b + 1)}
-    rhs[b] = [1, 0]
     ctx = BoundaryWeightContext(x, d, basis)
     sums = independent_subset_gram_sums(ctx.rows, b, processes,
                                         partial(_boundary_leaf_check, ctx, basis))
-    rhs.update((b - size, acc) for size, acc in sums.items())
-    rows = []
-    passed = True
-    for k in range(b, -1, -1):
-        lhs = (-1) ** (b - k) * poly.coefficient(k)
-        ok = lhs == rhs[k][0]
-        passed = passed and ok
-        rows.append({"k": k, "lhs": lhs, "rhs": rhs[k][0],
-                     "certificates": rhs[k][1], "pass": ok})
-    elapsed = (time.monotonic() - start) * 1000.0
-    return VerificationReport("boundary", d, rows, passed, elapsed)
+    rhs = {b - size: acc for size, acc in sums.items()}
+    rhs[b] = [1, 0]
+    rows = _rows(range(b, -1, -1), lambda k: (-1) ** (b - k) * poly.coefficient(k), rhs)
+    return _report("boundary", d, rows, start)
 
 
 # ---------------------------------------------------------------------------
 # Kirchhoff/Lyons: Laplacian coefficients vs (forest, coforest) pairs.
 # ---------------------------------------------------------------------------
 
+# Above this many estimated (forest, coforest) pairs, sum_m C(#columns, m) *
+# C(#rows, m), a pair sum is collapsed by Cauchy-Binet instead of enumerated.
 _PAIR_THRESHOLD = 2_000_000
+
+
+def _pair_sums(x, d, cols, col_ids, cap, processes):
+    """The pair sums of the boundary columns `cols` of the d-cells `col_ids`
+    (rows: the (d-1)-cells), and whether they were collapsed.
+
+    Returns ({m: [sum, count]}, collapsed): for each forest V of m <= cap
+    of the columns, the sum over the spanning coforests W of V of the
+    squared m x m incidence minor on (W, V).  The pairs are enumerated one
+    by one, and each must pass kirchhoff_pair_weight (the minor's
+    determinant, and the squared relative order) against the engine's
+    det^2, unless more than _PAIR_THRESHOLD pairs are estimated: then the
+    inner sum is collapsed by Cauchy-Binet to the Gram determinant of V's
+    columns, on the pooled fold, and a count is a forest, not a pair.
+    """
+    n, n_rows = len(cols), x.n_cells(d - 1)
+    if sum(comb(n, m) * comb(n_rows, m) for m in range(1, cap + 1)) > _PAIR_THRESHOLD:
+        return independent_subset_gram_sums(cols, cap, processes), True
+    ids_low = x.cell_ids(d - 1)
+    sums = {}
+    for vidx, _, _ in independent_subsets(cols, cap):
+        m = len(vidx)
+        vsub = CellSubset(d, [col_ids[j] for j in vidx])
+        rows = list(zip(*(cols[j] for j in vidx)))
+        # square m x m minors: the Gram determinant is det^2
+        for widx, det_sq, _ in independent_subsets(rows, m, min_size=m):
+            wsub = CellSubset(d - 1, [ids_low[i] for i in widx])
+            if kirchhoff_pair_weight(x, d, vsub, wsub) != det_sq:
+                raise AssertionError("pair weight mismatch")
+            acc = sums.setdefault(m, [0, 0])
+            acc[0] += det_sq
+            acc[1] += 1
+    return sums, False
 
 
 def verify_kirchhoff_lyons(x, d, processes=None):
     """Check every elementary symmetric function of the (d-1)-Laplacian
-    against the pair sum over forests of size m and spanning coforests.
-
-    On small complexes the (forest, coforest) pairs are enumerated one by
-    one through kirchhoff_pair_weight; on larger ones the inner coforest sum
-    is collapsed with Cauchy-Binet to the Gram determinant of the forest's
-    boundary columns, which is the same exact quantity.
+    against the pair sum over forests of size m and spanning coforests,
+    taken by _pair_sums on the columns of the boundary matrix.
     """
     start = time.monotonic()
     if processes is None:
@@ -576,48 +626,28 @@ def verify_kirchhoff_lyons(x, d, processes=None):
     n_low = x.n_cells(d - 1)
     bd = boundary_matrix(x, d)
     b_low = rank(bd)
-    notes = []
-    estimated = sum(comb(x.n_cells(d), m) * comb(n_low, m)
-                    for m in range(1, b_low + 1))
-    rhs = {m: [0, 0] for m in range(1, b_low + 1)}
-    cols = _column_vectors(bd)
-    if estimated <= _PAIR_THRESHOLD:
-        ids = x.cell_ids(d)
-        ids_low = x.cell_ids(d - 1)
-        # every forest of every size m, in one pass over the boundary columns
-        for vidx, _, _ in independent_subsets(cols, b_low):
-            m = len(vidx)
-            vsub = CellSubset(d, [ids[j] for j in vidx])
-            rows = list(zip(*(cols[j] for j in vidx)))
-            # square m x m minors: the Gram determinant is det^2
-            for widx, det_sq, _ in independent_subsets(rows, m, min_size=m):
-                wsub = CellSubset(d - 1, [ids_low[i] for i in widx])
-                weight = kirchhoff_pair_weight(x, d, vsub, wsub)
-                if weight != det_sq:
-                    raise AssertionError("pair weight mismatch")
-                rhs[m][0] += weight
-                rhs[m][1] += 1
-    else:
-        notes.append("inner coforest sums collapsed via Cauchy-Binet")
-        rhs.update(independent_subset_gram_sums(cols, b_low, processes))
-    rows = []
-    passed = True
-    for m in range(1, b_low + 1):
-        lhs = (-1) ** m * poly.coefficient(n_low - m)
-        ok = lhs == rhs[m][0]
-        passed = passed and ok
-        row = {"k": m, "lhs": lhs, "rhs": rhs[m][0],
-               "certificates": rhs[m][1], "pass": ok}
-        if m == b_low:
-            row["product_of_nonzero_eigenvalues"] = lhs
-        rows.append(row)
-    elapsed = (time.monotonic() - start) * 1000.0
-    return VerificationReport("kirchhoff", d, rows, passed, elapsed, notes)
+    rhs, collapsed = _pair_sums(x, d, _column_vectors(bd), x.cell_ids(d), b_low, processes)
+    rows = _rows(range(1, b_low + 1), lambda m: (-1) ** m * poly.coefficient(n_low - m),
+                 rhs)
+    if rows:
+        rows[-1]["product_of_nonzero_eigenvalues"] = rows[-1]["lhs"]
+    notes = ["inner coforest sums collapsed via Cauchy-Binet"] if collapsed else []
+    return _report("kirchhoff", d, rows, start, notes)
 
 
 # ---------------------------------------------------------------------------
 # Geometric-basis theorems.
 # ---------------------------------------------------------------------------
+
+def _geometric_cycle_leaf(t0, t_x, free_bit, chosen, gram, cok, twin_cok):
+    """Geometric's cycle-side leaf: the cycle rows `chosen` are the
+    complement of a spanning forest V and must pass trent's leaf check.
+    Returns the fold's key, the bitmask of V - V0 (free_bit maps each
+    position outside V0 to its bit), and t(X_V)^2 = (t0 * twin_cok)^2."""
+    _trent_leaf_check(t0, t_x, chosen, gram, cok, twin_cok)
+    t_v = t0 * twin_cok
+    return (1 << len(chosen)) - 1 - sum(free_bit.get(p, 0) for p in chosen), t_v * t_v
+
 
 def verify_geometric_theorems(x, d, v0=None, v1=None, processes=None):
     """Check the characteristic polynomials of the geometric cycle and
@@ -628,27 +658,25 @@ def verify_geometric_theorems(x, d, v0=None, v1=None, processes=None):
     torsion-ratio form with fixed denominator t_{d-1}(X_{V0}), and the
     variant whose denominator depends on the augmenting set U.  The report
     notes which of the two matches; they coincide exactly when V0 is
-    torsion-free.  The spanning forests V are walked on trent's tree: the
-    complements of the independent cycle-basis row sets of size z, with the
-    twin rows of CycleWeightContext.twin_table carried alongside.  Every
-    forest passes trent's leaf check (_trent_leaf_check), so t(X_V), taken
-    as t0 times the twin cokernel order, must match the cokernel order of
-    the cycle rows outside V; no Smith runs per forest.  The sums of
-    t(X_V)^2 stay integers per |V - V0| and are divided by t(X_V0)^2 once.
-    Boundary side: weights are squared relative orders of (d+1, d) pairs.
-
-    `processes` is accepted for the signature the verifiers share and is not
-    used: both sides run serially.
+    torsion-free.  The spanning forests V are walked on trent's tree, on
+    the pooled fold: the complements of the independent cycle-basis row
+    sets of size z, with the twin rows of CycleWeightContext.twin_table
+    carried alongside.  Every forest passes trent's leaf check
+    (_geometric_cycle_leaf), so t(X_V), taken as t0 times the twin
+    cokernel order, must match the cokernel order of the cycle rows outside
+    V; no Smith runs per forest.  The sums of t(X_V)^2 stay integers per
+    |V - V0| and are divided by t(X_V0)^2 once.
+    Boundary side: weights are squared relative orders of (d+1, d) pairs,
+    taken by _pair_sums on the columns of V1.
     """
     start = time.monotonic()
+    if processes is None:
+        processes = default_processes()
     if v0 is None:
         v0 = greedy_spanning_forest(x, d)
     if v1 is None:
         v1 = greedy_spanning_forest(x, d + 1) if d + 1 <= x.dimension \
             else CellSubset(d + 1, [])
-    notes = []
-    rows = []
-    passed = True
 
     # --- cycle side ------------------------------------------------------
     g0 = geometric_cycle_basis(x, d, v0)
@@ -663,35 +691,28 @@ def verify_geometric_theorems(x, d, v0=None, v1=None, processes=None):
     n = x.n_cells(d)
     free_positions = [j for j in range(n) if j not in v0pos]
     free_bit = {p: 1 << i for i, p in enumerate(free_positions)}
-
-    # The spanning forests V are the complements of the independent
-    # cycle-basis row sets of size z; each passes trent's leaf check, which
-    # gives t(X_V) = t0 * twin cokernel order.
-    leaf_check = partial(_trent_leaf_check, t0, ctx.t_x)
-    a_rows = [tuple(row) for row in basis.basis.data]
-    sq_sums = [0] * (z + 1)  # by j = |V \ V0|: sum of t(X_V)^2, and count
+    # {bitmask of V - V0: [sum of t(X_V)^2, forest count]}
+    by_extension = independent_subset_gram_sums(
+        [tuple(row) for row in basis.basis.data], z, processes,
+        partial(_geometric_cycle_leaf, t0, ctx.t_x, free_bit), twins, min_size=z)
+    sq_sums = [0] * (z + 1)  # by j = |V - V0|
     found = [0] * (z + 1)
-    by_extension = {}  # bitmask of V \ V0 over free positions -> sum of t_V^2
-    for chosen, gram, cok, twin_cok in independent_subsets(a_rows, z, twins=twins,
-                                                             min_size=z):
-        leaf_check(chosen, gram, cok, twin_cok)
-        t_v = t0 * twin_cok
-        mask = (1 << z) - 1 - sum(free_bit.get(p, 0) for p in chosen)
+    for mask, (sq, count) in by_extension.items():
         j = mask.bit_count()
-        sq_sums[j] += t_v * t_v
-        found[j] += 1
-        by_extension[mask] = by_extension.get(mask, 0) + t_v * t_v
-    proof_rows = {k: Fraction(sum(comb(z - j, k - j) * sq_sums[j] for j in range(k + 1)),
-                              t_v0 * t_v0) for k in range(z + 1)}
-    counts = {k: sum(comb(z - j, k - j) * found[j] for j in range(k + 1))
-              for k in range(z + 1)}
-
-    udep_rows = None
+        sq_sums[j] += sq
+        found[j] += count
+    rhs = {k: [Fraction(sum(comb(z - j, k - j) * sq_sums[j] for j in range(k + 1)),
+                        t_v0 * t_v0),
+               sum(comb(z - j, k - j) * found[j] for j in range(k + 1))]
+           for k in range(z + 1)}
+    rows = _rows(range(z + 1), lambda k: (-1) ** k * coeffs[z - k], rhs, "cycles")
+    notes = ["cycle closed form with denominator t(X_V0) matches: "
+             + str(all(row["pass"] for row in rows))]
     if z <= 14:
-        # inner[U] = the sum of by_extension over the masks inside U, for
-        # every U at once: one subset-sum pass over the 2^z masks
+        # inner[U] = the sum of t(X_V)^2 over the masks inside U, for every
+        # U at once: one subset-sum pass over the 2^z masks
         inner = [0] * (1 << z)
-        for mask, sq in by_extension.items():
+        for mask, (sq, _) in by_extension.items():
             inner[mask] = sq
         for i in range(z):
             bit = 1 << i
@@ -704,75 +725,25 @@ def verify_geometric_theorems(x, d, v0=None, v1=None, processes=None):
                                     if u_mask >> i & 1]
             t_u = ctx.torsion_subcomplex(sorted(upos))
             udep_rows[u_mask.bit_count()] += Fraction(inner[u_mask], t_u * t_u)
-
-    cycle_match_proof = True
-    cycle_match_udep = udep_rows is not None
-    for k in range(z + 1):
-        lhs = (-1) ** k * coeffs[z - k]
-        ok = lhs == proof_rows[k]
-        cycle_match_proof = cycle_match_proof and ok
-        if udep_rows is not None and lhs != udep_rows[k]:
-            cycle_match_udep = False
-        passed = passed and ok
-        row = {"side": "cycles", "k": k, "lhs": lhs, "rhs": proof_rows[k],
-               "certificates": counts[k], "pass": ok}
-        if udep_rows is not None:
-            row["rhs_u_dependent_form"] = udep_rows[k]
-        rows.append(row)
-    notes.append("cycle closed form with denominator t(X_V0) matches: "
-                 + str(cycle_match_proof))
-    if udep_rows is not None:
+        for row in rows:
+            row["rhs_u_dependent_form"] = udep_rows[row["k"]]
         notes.append("cycle closed form with U-dependent denominator matches: "
-                     + str(cycle_match_udep))
+                     + str(all(row["lhs"] == row["rhs_u_dependent_form"] for row in rows)))
 
     # --- boundary side ---------------------------------------------------
-    bd_up = boundary_matrix_above(x, d)
-    b_up_rank = rank(bd_up)
-    if len(v1.members) != b_up_rank:
-        raise ComplexFormatError("V1 is not a spanning forest at dimension d+1")
-    if b_up_rank == 0:
-        rows.append({"side": "boundaries", "k": 0, "lhs": 1, "rhs": 1,
-                     "certificates": 0, "pass": True})
-        elapsed = (time.monotonic() - start) * 1000.0
-        return VerificationReport("geometric", d, rows, passed, elapsed, notes)
     g1 = geometric_boundary_basis(x, d, v1)
     b = g1.cols
     gram1 = g1.transpose().mul(g1)
     poly1 = char_poly(gram1)
+    # V1's columns of the boundary matrix, read apart from g1: V1 is a
+    # forest, so every subset of them is independent
     v1pos = x.positions(d + 1, v1.members)
-    n_low = x.n_cells(d)
-    pair_mode = n_low <= 8
-    rhs_rows = {k: [0, 0] for k in range(b + 1)}
-    rhs_rows[0] = [1, 0]
-    ids_low = x.cell_ids(d)
-    ids_up = x.cell_ids(d + 1)
-    # V1 is a forest, so every subset U of its columns is independent
-    up_cols = _column_vectors(bd_up)
-    cols = [up_cols[j] for j in v1pos]
-    for uidx, gram, _ in independent_subsets(cols):
-        k = len(uidx)
-        if pair_mode:
-            rows_low = list(zip(*(cols[u] for u in uidx)))
-            usub = CellSubset(d + 1, [ids_up[v1pos[u]] for u in uidx])
-            for widx, det_sq, _ in independent_subsets(rows_low, k, min_size=k):
-                comp = CellSubset(d, set(ids_low) -
-                                  {ids_low[i] for i in widx})
-                order = relative_order(x, usub, comp, d)
-                if order * order != det_sq:
-                    raise AssertionError("relative order mismatch")
-                rhs_rows[k][0] += det_sq
-                rhs_rows[k][1] += 1
-        else:
-            rhs_rows[k][0] += gram
-            rhs_rows[k][1] += 1
-    if not pair_mode:
+    up_cols, ids_up = _column_vectors(boundary_matrix_above(x, d)), x.cell_ids(d + 1)
+    rhs, collapsed = _pair_sums(x, d + 1, [up_cols[j] for j in v1pos],
+                                [ids_up[j] for j in v1pos], b, processes)
+    rhs[0] = [1, 0]
+    rows += _rows(range(b + 1), lambda k: (-1) ** k * poly1.coefficient(b - k), rhs,
+                  "boundaries")
+    if collapsed:
         notes.append("boundary inner coforest sums collapsed via Cauchy-Binet")
-    for k in range(b + 1):
-        lhs = (-1) ** k * poly1.coefficient(b - k)
-        ok = lhs == rhs_rows[k][0]
-        passed = passed and ok
-        rows.append({"side": "boundaries", "k": k, "lhs": lhs,
-                     "rhs": rhs_rows[k][0], "certificates": rhs_rows[k][1],
-                     "pass": ok})
-    elapsed = (time.monotonic() - start) * 1000.0
-    return VerificationReport("geometric", d, rows, passed, elapsed, notes)
+    return _report("geometric", d, rows, start, notes)

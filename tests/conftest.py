@@ -116,8 +116,9 @@ def double_v_order(monkeypatch):
 
 
 def quadruple_pair_weight(monkeypatch):
-    """Make Kirchhoff's pair path see four times every kirchhoff_pair_weight,
-    as a wrong incidence minor or relative order would give."""
+    """Make the pair path of spectra._pair_sums (Kirchhoff's, and geometric's
+    boundary side) see four times every kirchhoff_pair_weight, as a wrong
+    incidence minor or relative order would give."""
     import cellmesh.spectra as spectra
     weight = spectra.kirchhoff_pair_weight
     monkeypatch.setattr(spectra, "kirchhoff_pair_weight",
@@ -132,8 +133,8 @@ def double_lift_column(monkeypatch):
     from cellmesh.intmat import IntMatrix
     lift = homology.homology_lift_basis
 
-    def doubled(x, d):
-        m = lift(x, d)
+    def doubled(x, d, *bases):
+        m = lift(x, d, *bases)
         return IntMatrix(m.rows, m.cols, [[2 * row[0]] + row[1:] if row else row
                                           for row in m.data])
     monkeypatch.setattr(homology, "homology_lift_basis", doubled)

@@ -77,7 +77,8 @@ def test_failed_check_exits_1(capsys, monkeypatch, corpus_dir):
             (double_torsion, "rp2", "geometric", "cokernel order"),
             (double_t_x, "rp2", "trent", "torsion ratio"),
             (double_v_order, "rp2", "boundary", "boundary weight mismatch"),
-            (quadruple_pair_weight, "k4", "kirchhoff", "pair weight mismatch")):
+            (quadruple_pair_weight, "k4", "kirchhoff", "pair weight mismatch"),
+            (quadruple_pair_weight, "delta3", "geometric", "pair weight mismatch")):
         patch(monkeypatch)
         code, out, err = invoke(capsys, "verify", str(corpus_dir / f"{name}.json"),
                                 "--theorem", theorem, "--dim", "1")

@@ -293,14 +293,52 @@ def test_verifier_process_count_determinism(corpus, monkeypatch):
     entered = force_pool(monkeypatch)
     serial = [verify_theorem1(x, 1, processes=1),
               verify_kirchhoff_lyons(x, 2, processes=1),
-              verify_theorem2(x, 1, processes=1)]
+              verify_theorem2(x, 1, processes=1),
+              verify_geometric_theorems(x, 1, processes=1)]
     assert entered == []
     pooled = [verify_theorem1(x, 1, processes=2),
               verify_kirchhoff_lyons(x, 2, processes=2),
-              verify_theorem2(x, 1, processes=2)]
-    assert entered == [15, 10, 15]  # one task per first row / column
+              verify_theorem2(x, 1, processes=2),
+              verify_geometric_theorems(x, 1, processes=2)]
+    # one task per first row / column; geometric pools its cycle side (15
+    # edges) and its collapsed boundary side (the 10 triangles of V1)
+    assert entered == [15, 10, 15, 15, 10]
     for one, many in zip(serial, pooled):
-        assert one.passed and one.rows == many.rows
+        assert one.passed and one.rows == many.rows and one.notes == many.notes
+
+
+def test_geometric_rejects_doubled_torsion_in_the_pool(corpus, monkeypatch):
+    # geometric's cycle side runs trent's leaf check on the pooled fold: a
+    # doubled t0 must fail inside the workers, whose traceback the pool
+    # attaches as the cause
+    double_torsion(monkeypatch)
+    entered = force_pool(monkeypatch)
+    with pytest.raises(AssertionError, match="cokernel order") as info:
+        verify_geometric_theorems(corpus["rp2"], 1, processes=2)
+    assert entered == [15]
+    assert type(info.value.__cause__).__name__ == "_RemoteTraceback"
+
+
+def test_pair_sums_collapse_only_above_the_pair_threshold(corpus, monkeypatch):
+    # Kirchhoff and geometric's boundary side choose between the pair path
+    # and the Cauchy-Binet collapse by one estimate, sum_m C(#columns, m) *
+    # C(#rows, m) > _PAIR_THRESHOLD; pin the corpus cases that collapse.
+    # The enumeration is stubbed out: only the notes, which name the path,
+    # are read, and the full runs are pinned by criterion 6 and the CLI
+    # record
+    import cellmesh.spectra as spectra
+    monkeypatch.setattr(spectra, "independent_subset_gram_sums", lambda *args, **kw: {})
+    monkeypatch.setattr(spectra, "independent_subsets", lambda *args, **kw: iter(()))
+    collapsed = {"kirchhoff": [], "geometric": []}
+    for name, x in sorted(corpus.items()):
+        for d in range(1, x.dimension + 1):
+            for theorem, verify in (("kirchhoff", verify_kirchhoff_lyons),
+                                    ("geometric", verify_geometric_theorems)):
+                notes = verify(x, d, processes=1).notes
+                if any("collapsed via Cauchy-Binet" in note for note in notes):
+                    collapsed[theorem].append((name, d))
+    assert collapsed == {"kirchhoff": [("delta5skel2", 2), ("rp2", 2)],
+                         "geometric": [("delta5skel2", 1), ("rp2", 1)]}
 
 
 def test_theorem1_matches_cycle_weight_oracle(corpus, monkeypatch):
