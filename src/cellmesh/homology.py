@@ -119,19 +119,15 @@ def _integral_solution(a, b):
     return IntMatrix(sol.rows, sol.cols, [[v // d for v in row] for row in sol.data])
 
 
-def homology_lift_basis(x, d, cycles=None, boundaries=None):
+def homology_lift_basis(cycles, boundaries):
     """Integral cycles projecting to a basis of H_d(X;Z)/torsion.
 
-    Returns an n_d x betti integer matrix.  The choice is canonical given
-    the Hermite-canonical cycle and boundary bases, which a caller that
-    has them passes as `cycles` and `boundaries`.
+    Takes the Hermite-canonical cycle and boundary bases of one degree d
+    and returns an n_d x betti integer matrix, canonical given those bases.
     """
-    z = (cycles if cycles is not None else integral_cycle_basis(x, d)).basis
+    z, b = cycles.basis, boundaries.basis
     if z.cols == 0:
-        n = x.n_cells(d)
-        return IntMatrix(n, 0, [[] for _ in range(n)])
-    b = (boundaries if boundaries is not None
-         else integral_boundary_basis(x, d)).basis
+        return z
     b_sat = saturate_columns(b) if b.cols else b
     if b_sat.cols == 0:
         return z
@@ -164,7 +160,7 @@ def homology_covolume_squared(x, d, cycles=None, boundaries=None):
     t = torsion_order(x, d)
     covol_b = covolume_squared(b)
     quotient = Fraction(covolume_squared(z) * t * t, covol_b)
-    lift = homology_lift_basis(x, d, z, b)
+    lift = homology_lift_basis(z, b)
     direct = Fraction(gram_det_of([*zip(*b.basis.data), *zip(*lift.data)]), covol_b)
     if direct != quotient:
         raise AssertionError(

@@ -133,8 +133,8 @@ def double_lift_column(monkeypatch):
     from cellmesh.intmat import IntMatrix
     lift = homology.homology_lift_basis
 
-    def doubled(x, d, *bases):
-        m = lift(x, d, *bases)
+    def doubled(cycles, boundaries):
+        m = lift(cycles, boundaries)
         return IntMatrix(m.rows, m.cols, [[2 * row[0]] + row[1:] if row else row
                                           for row in m.data])
     monkeypatch.setattr(homology, "homology_lift_basis", doubled)

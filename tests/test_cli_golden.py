@@ -6,7 +6,10 @@ tests/data/verify_golden.json maps "complex theorem d" (d is "-" for rf) to
 [exit code, stdout, stderr].  Rewrite it only when an output change is
 intended, with `PYTHONPATH=src python tests/test_cli_golden.py --record`:
 that runs every corpus case serially and keeps the ones that finish within
-RECORD_LIMIT_S.
+RECORD_LIMIT_S.  The recorded cases should stay within a budget of about
+20 s of wall time on one core (98 cases took about 1.3 s on a 2-CPU
+Xeon).  The budget is stated, not asserted, so machine load cannot fail
+the test; `pytest --durations` shows its time.
 """
 
 import json
@@ -21,7 +24,6 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 CORPUS = os.path.join(HERE, "..", "corpus")
 RECORD = os.path.join(HERE, "data", "verify_golden.json")
 RECORD_LIMIT_S = 1.0
-BUDGET_S = 20.0
 THEOREMS = ("trent", "boundary", "kirchhoff", "geometric", "covolume")
 
 
@@ -51,11 +53,8 @@ def test_verify_matches_record(capsys, monkeypatch):
     monkeypatch.setenv("CELLMESH_PROCESSES", "1")
     with open(RECORD) as fh:
         record = json.load(fh)
-    start = time.monotonic()
     for case, expected in record.items():
         assert _invoke(case, capsys) == expected, case
-    elapsed = time.monotonic() - start
-    assert elapsed <= BUDGET_S, f"{len(record)} recorded cases took {elapsed:.1f} s"
 
 
 def _record():
