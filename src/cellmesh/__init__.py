@@ -26,7 +26,7 @@ from .kalai import (SpectrumSummary, phi_basis, predicted_spectrum,
                     reduced_incidence, verify_kalai)
 from .spectra import (MeshMatrix, VerificationReport, combinatorial_laplacian,
                       geometric_boundary_basis, geometric_cycle_basis,
-                      mesh_matrix_boundaries, mesh_matrix_cycles,
+                      mesh_matrix_boundaries, mesh_matrix_cycles, verify_covolume,
                       verify_geometric_theorems, verify_kirchhoff_lyons,
                       verify_theorem1, verify_theorem2, weighted_laplacian)
 from .torsion import (TorsionReport, reduced_laplacian_det, rf_combinatorial,

@@ -13,17 +13,16 @@ import sys
 from fractions import Fraction
 
 from .complexes import (CellSubset, ComplexFormatError, WeightAssignment,
-                        load_complex, validate)
+                        encode_number, load_complex, validate)
 from .forests import (BoundaryWeightContext, CycleWeightContext, boundary_weight,
                       cycle_weight, enumerate_forests)
-from .homology import (covolume_squared, homology_covolume_squared,
-                       homology_groups, integral_boundary_basis,
-                       integral_cycle_basis, torsion_order)
+from .homology import (covolume_squared, homology_groups, integral_boundary_basis,
+                       integral_cycle_basis)
 from .intmat import char_poly_rational
 from .kalai import verify_kalai
-from .spectra import (combinatorial_laplacian, default_processes, encode_number,
+from .spectra import (combinatorial_laplacian, default_processes,
                       geometric_boundary_basis, geometric_cycle_basis,
-                      mesh_matrix_boundaries, mesh_matrix_cycles,
+                      mesh_matrix_boundaries, mesh_matrix_cycles, verify_covolume,
                       verify_geometric_theorems, verify_kirchhoff_lyons,
                       verify_theorem1, verify_theorem2, weighted_laplacian)
 from .torsion import verify_rf_identity
@@ -218,26 +217,6 @@ def cmd_forests(args):
     return 0
 
 
-def _covolume_report(x, d):
-    z = integral_cycle_basis(x, d)
-    b = integral_boundary_basis(x, d)
-    t = torsion_order(x, d)
-    hcov = homology_covolume_squared(x, d, z, b)  # asserts quotient == projection
-    lhs = covolume_squared(z) * t * t
-    rhs = covolume_squared(b) * hcov
-    rows = [{
-        "k": 0,
-        "lhs": lhs,
-        "rhs": rhs,
-        "certificates": 0,
-        "pass": lhs == rhs,
-    }]
-    from .spectra import VerificationReport
-    return VerificationReport("covolume", d, rows, lhs == rhs, 0.0,
-                              ["lhs = covol^2(cycles) * torsion^2; "
-                               "rhs = covol^2(boundaries) * homology covol^2"])
-
-
 def cmd_verify(args):
     x = load_complex(args.file)
     theorem = args.theorem
@@ -256,12 +235,12 @@ def cmd_verify(args):
               if args.coforest_dim_plus_one else None)
         report = verify_geometric_theorems(x, args.dim, v0, v1, processes)
     elif theorem == "covolume":
-        report = _covolume_report(x, args.dim)
+        report = verify_covolume(x, args.dim)
     elif theorem == "rf":
         report = verify_rf_identity(x)
     else:  # pragma: no cover - argparse restricts choices
         raise ComplexFormatError(f"unknown theorem {theorem!r}")
-    return _emit_report(report.to_json_dict(deterministic=True), args.output)
+    return _emit_report(report.to_json_dict(), args.output)
 
 
 def cmd_kalai(args):
@@ -271,7 +250,7 @@ def cmd_kalai(args):
         for tok in args.weights.split(","):
             weights.append(Fraction(tok) if "/" in tok else Fraction(int(tok)))
     report = verify_kalai(args.n, args.k, args.kind, weights)
-    return _emit_report(report.to_json_dict(deterministic=True), args.output)
+    return _emit_report(report.to_json_dict(), args.output)
 
 
 def _emit_report(doc, mode):

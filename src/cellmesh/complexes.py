@@ -18,6 +18,17 @@ class ComplexFormatError(ValueError):
     """Raised for malformed input files and invalid complex data."""
 
 
+def encode_number(v):
+    """An int or Fraction as a decimal string, "p" or "p/q" in lowest terms,
+    so that large values survive JSON; anything else is returned as is."""
+    if isinstance(v, Fraction):
+        return (str(v.numerator) if v.denominator == 1
+                else f"{v.numerator}/{v.denominator}")
+    if isinstance(v, int):
+        return str(v)
+    return v
+
+
 class Cell:
     """An oriented cell: an id plus its boundary as (face id, coefficient)."""
 
@@ -374,10 +385,7 @@ def serialize_complex(x):
             arr.append(obj)
         doc["cells"][str(d)] = arr
     if x.weights:
-        doc["weights"] = {
-            cid: (str(w.numerator) if w.denominator == 1
-                  else f"{w.numerator}/{w.denominator}")
-            for cid, w in x.weights.items()}
+        doc["weights"] = {cid: encode_number(w) for cid, w in x.weights.items()}
     return json.dumps(doc, indent=1)
 
 

@@ -15,7 +15,7 @@ from math import gcd
 from operator import mul
 
 from .complexes import CellSubset, ComplexFormatError, boundary_matrix
-from .homology import integral_boundary_basis, integral_cycle_basis, relative_order
+from .homology import integral_boundary_basis, integral_cycle_basis
 from .intmat import (_apply_pivot_ops, _column_hermite_reduce, _pivot_ops,
                      det_bareiss, gram_det, gram_det_of, invariant_factor_product,
                      kernel_basis, kernel_columns, rank)
@@ -324,6 +324,51 @@ class BoundaryWeightContext:
             v = self._v[key] = abs(det_bareiss([list(self.rows[p]) for p in key]))
         return v
 
+    def weigh(self, positions, gram):
+        """Theorem 2's identity on the k-reduced spanning coforest W with
+        these sorted row positions and Gram determinant `gram`; returns the
+        weight parts u, v, f and gram_factor, or raises AssertionError.
+
+        Route (i) is `gram`, the Gram determinant of W's rows, which the
+        caller has (theorem 2's leaf check passes the engine's).  Route (ii)
+        is (v(V,X)/u(W,V))^2 det(B'^t B') for a greedily chosen containing
+        spanning coforest V, where u and v are the relative orders of
+        Theorem-2 type and B' is a saturated kernel basis of W's rows; it is
+        computed here and must equal route (i).  B' has rank b_d - |W|
+        exactly when W's rows are independent.  f(W) = u/v is recorded and
+        its independence of V is spot-checked against a second containing
+        coforest when one exists.
+        """
+        k = self.b_up - len(positions)
+        bprime = kernel_columns([self.rows[p] for p in positions], self.b_up)
+        if len(bprime) != k:
+            raise AssertionError(
+                f"kernel of rank {len(bprime)} != {k} on rows {list(positions)}")
+        gram_factor = gram_det_of(bprime)
+        # The rows of A[W] span the annihilator of B', so a set S of other rows
+        # extends W to an independent set exactly when the images a B' of its
+        # rows are independent: greedy passes over those k-vectors choose the
+        # containing spanning coforests V = W + S, the same V as greedy passes
+        # over the rows of A that start with W.
+        pos_set = set(positions)
+        images = {p: [sum(map(mul, row, col)) for col in bprime]
+                  for p, row in enumerate(self.rows) if p not in pos_set}
+        rest = list(images)
+        s1 = greedy_basis(images, rest, k)
+        u1, vv1 = _u_v_orders(self, positions, s1, images)
+        if gram * u1 * u1 != vv1 * vv1 * gram_factor:
+            raise AssertionError(
+                f"boundary weight mismatch on rows {list(positions)}: "
+                f"{gram} * {u1}^2 != {vv1}^2 * {gram_factor}")
+        f_w = Fraction(u1, vv1)
+        s2 = greedy_basis(images, rest[::-1], k)
+        if set(s2) != set(s1):
+            u2, vv2 = _u_v_orders(self, positions, s2, images)
+            if Fraction(u2, vv2) != f_w:
+                raise AssertionError(
+                    f"f(W) depends on the containing coforest: {u1}/{vv1} vs {u2}/{vv2}")
+        return {"u": u1, "v": vv1, "f": f_w, "gram_factor": gram_factor}
+
 
 def cycle_weight(x, d, subset, basis, ctx=None):
     """Weight of a k-augmented spanning forest, computed both ways.
@@ -360,65 +405,24 @@ def cycle_weight(x, d, subset, basis, ctx=None):
                              k if k else None, direct, parts)
 
 
-def boundary_weight(x, d, subset, basis, ctx=None, direct=None):
+def boundary_weight(x, d, subset, basis, ctx=None):
     """Weight of a k-reduced spanning coforest, computed both ways.
 
     (i) directly as the Gram determinant of the boundary-basis rows indexed
-    by the subset, and (ii) as (v(V,X)/u(W,V))^2 det(B'[W]^t B'[W]) for a
-    greedily chosen containing spanning coforest V, where u and v are the
-    relative orders of Theorem-2 type and B' is a saturated kernel basis of
-    those rows.  f(W) = u/v is recorded and its independence of V is
-    spot-checked against a second containing coforest when one exists.
-
-    `direct`, when given, is route (i) already computed by the caller:
-    theorem 2's leaf check passes the Gram determinant of the enumeration
-    engine, so it is not taken twice, and the identity is still checked by
-    two independent routes: the engine's Gram determinant against u, v and
-    det(B'^t B'), computed here from the kernel.  Without `direct` the Gram
-    determinant of the rows is taken here.  Either way the subset is checked
-    once, by the kernel rank: B' has rank b_d - |W| exactly when the rows of
-    W are independent.  A public caller's bad subset is a ComplexFormatError;
-    a bad subset behind a given `direct` is an AssertionError.
+    by the subset, and (ii) in the relative-order form of
+    BoundaryWeightContext.weigh, which must agree.  A subset whose rows are
+    dependent (Gram determinant 0), oversized ones included, is a
+    ComplexFormatError.
     """
     if ctx is None:
         ctx = BoundaryWeightContext(x, d, basis)
     pos = x.positions(d, subset.members)
+    direct = gram_det_of([ctx.rows[p] for p in pos])
+    if direct == 0:
+        raise ComplexFormatError("subset is not a k-reduced spanning coforest")
     k = ctx.b_up - len(pos)
-    rows_w = [ctx.rows[p] for p in pos]
-    bprime = kernel_columns(rows_w, ctx.b_up)  # boundaries vanishing on W, b_d coords
-    if len(bprime) != k:
-        if direct is None:
-            raise ComplexFormatError("subset is not a k-reduced spanning coforest")
-        raise AssertionError(
-            f"kernel of rank {len(bprime)} != {k} on {sorted(subset.members)}")
-    if direct is None:
-        direct = gram_det_of(rows_w)
-    gram_factor = gram_det_of(bprime)
-    # The rows of A[W] span the annihilator of B', so a set S of other rows
-    # extends W to an independent set exactly when the images a B' of its
-    # rows are independent: greedy passes over those k-vectors choose the
-    # containing spanning coforests V = W + S, the same V as greedy passes
-    # over the rows of A that start with W.
-    pos_set = set(pos)
-    images = {p: [sum(map(mul, row, col)) for col in bprime]
-              for p, row in enumerate(ctx.rows) if p not in pos_set}
-    rest = list(images)
-    s1 = greedy_basis(images, rest, k)
-    u1, vv1 = _u_v_orders(ctx, pos, s1, images)
-    if direct * u1 * u1 != vv1 * vv1 * gram_factor:
-        raise AssertionError(
-            f"boundary weight mismatch on {sorted(subset.members)}: "
-            f"{direct} * {u1}^2 != {vv1}^2 * {gram_factor}")
-    f_w = Fraction(u1, vv1)
-    s2 = greedy_basis(images, rest[::-1], k)
-    if set(s2) != set(s1):
-        u2, vv2 = _u_v_orders(ctx, pos, s2, images)
-        if Fraction(u2, vv2) != f_w:
-            raise AssertionError(
-                f"f(W) depends on the containing coforest: {u1}/{vv1} vs {u2}/{vv2}")
-    parts = {"u": u1, "v": vv1, "f": f_w, "gram_factor": gram_factor}
     return ForestCertificate(subset, "k_reduced_coforest" if k else "spanning_coforest",
-                             k if k else None, direct, parts)
+                             k if k else None, direct, ctx.weigh(pos, direct))
 
 
 def _u_v_orders(ctx, w_positions, interface, images):
@@ -431,12 +435,32 @@ def _u_v_orders(ctx, w_positions, interface, images):
     from the context's memo (BoundaryWeightContext.v_order).
     """
     if len(w_positions) + len(interface) != ctx.b_up:
-        raise ComplexFormatError("no containing spanning coforest exists")
+        raise AssertionError("no containing spanning coforest exists")
     u = abs(det_bareiss([list(images[p]) for p in interface]))
-    v = ctx.v_order(sorted(w_positions + interface))
+    v = ctx.v_order(sorted([*w_positions, *interface]))
     if u == 0 or v == 0:
         raise AssertionError("degenerate containing coforest")
     return u, v
+
+
+def pair_weight(cols, v_idx, w_idx):
+    """Squared determinant of the incidence minor on the rows `w_idx` of the
+    boundary columns `cols` indexed by `v_idx`, taken two ways.
+
+    The minor's Bareiss determinant squared is the weight; when it is
+    nonzero, the pair is a forest of size m with a spanning coforest of its
+    subcomplex, and the weight must equal the squared relative order of
+    the pair, the invariant-factor product of the same minor.
+    """
+    minor = [[cols[j][i] for j in v_idx] for i in w_idx]
+    det = det_bareiss([row[:] for row in minor])
+    weight = det * det
+    if weight:
+        order = invariant_factor_product(minor)
+        if order * order != weight:
+            raise AssertionError(
+                f"pair weight {weight} != relative order {order} squared")
+    return weight
 
 
 def kirchhoff_pair_weight(x, d, forest_subset, coforest_subset):
@@ -444,22 +468,10 @@ def kirchhoff_pair_weight(x, d, forest_subset, coforest_subset):
 
     Rows are the (d-1)-cells of the coforest, columns the d-cells of the
     forest; the value is zero unless the pair is a forest of size m together
-    with a spanning coforest of its subcomplex.  Nonzero values are
-    cross-checked against the squared relative order of the pair.
+    with a spanning coforest of its subcomplex, and is checked by pair_weight.
     """
     if len(forest_subset.members) != len(coforest_subset.members):
         raise ComplexFormatError("forest and coforest sizes differ")
-    vpos = x.positions(d, forest_subset.members)
-    wpos = x.positions(d - 1, coforest_subset.members)
-    bd = boundary_matrix(x, d)
-    minor = bd.submatrix(wpos, vpos)
-    det = minor.det()
-    weight = det * det
-    if weight:
-        comp = CellSubset(d - 1, set(x.cell_ids(d - 1)) - coforest_subset.members)
-        order = relative_order(x, forest_subset, comp, d - 1)
-        if order * order != weight:
-            raise AssertionError(
-                f"pair weight {weight} != relative order {order} squared")
-    return weight
-
+    return pair_weight(_column_vectors(boundary_matrix(x, d)),
+                       x.positions(d, forest_subset.members),
+                       x.positions(d - 1, coforest_subset.members))

@@ -168,50 +168,23 @@ def homology_covolume_squared(x, d, cycles=None, boundaries=None):
     return quotient
 
 
-def boundary_restriction_kernel(x, d, keep_zero_ids, basis=None):
-    """Coordinates (in the chosen boundary basis) of boundaries vanishing on
-    the given d-cells: the saturated kernel of the rows of the basis matrix
-    indexed by keep_zero_ids."""
-    b = basis if basis is not None else integral_boundary_basis(x, d)
-    rows = x.positions(d, keep_zero_ids)
-    sub = b.basis.submatrix(rows, range(b.basis.cols))
-    return kernel_basis(sub)
-
-
 def relative_order(x, upper, lower, hom_degree):
-    """Order of the finite relative homology group of (X_upper, X_lower).
+    """Order of the finite relative homology group of (X_upper, X_lower),
+    for `upper` at dimension hom_degree+1 and `lower` at hom_degree.
 
-    Two shapes occur.  With upper at dimension hom_degree+1 and lower at
-    hom_degree, the pair's relative chain complex is the two-term complex
-    made of the boundary-matrix block with rows outside `lower` and columns
-    in `upper`, and the order is the product of its invariant factors.  With
-    both subsets at dimension hom_degree (lower inside upper), the boundary
-    lattice of the ambient complex restricted to the cells of upper-minus-
-    lower plays the role of the relative boundaries.  Raises ValueError when
-    the group is infinite (rank mismatch).
+    The pair's relative chain complex is the two-term complex made of the
+    boundary-matrix block with rows outside `lower` and columns in `upper`,
+    and the order is the product of its invariant factors.  Raises
+    ValueError when the group is infinite (rank mismatch).
     """
     d = hom_degree
-    if upper.dimension == d + 1 and lower.dimension == d:
-        rows = [i for i, cid in enumerate(x.cell_ids(d))
-                if cid not in lower.members]
-        cols = x.positions(d + 1, upper.members)
-        mat = boundary_matrix(x, d + 1).submatrix(rows, cols)
-        if rank(mat) != len(rows):
-            raise ValueError("relative homology group is infinite")
-        return invariant_factor_product([row[:] for row in mat.data])
-    if upper.dimension == d and lower.dimension == d:
-        if not lower.members <= upper.members:
-            raise ComplexFormatError("lower subset not contained in upper")
-        interface = sorted(upper.members - lower.members)
-        basis = integral_boundary_basis(x, d)
-        vanish_on = [cid for cid in x.cell_ids(d) if cid not in upper.members]
-        kern = boundary_restriction_kernel(x, d, vanish_on, basis)
-        supported = basis.basis.mul(kern)  # boundaries living on `upper`
-        rows = x.positions(d, interface)
-        mat = supported.submatrix(rows, range(supported.cols))
-        if rank(mat) != len(rows) or mat.rows != mat.cols:
-            raise ValueError("relative homology group is infinite")
-        return invariant_factor_product([row[:] for row in mat.data])
-    raise ComplexFormatError(
-        f"unsupported pair dimensions ({upper.dimension}, {lower.dimension}) "
-        f"for homology degree {hom_degree}")
+    if upper.dimension != d + 1 or lower.dimension != d:
+        raise ComplexFormatError(
+            f"unsupported pair dimensions ({upper.dimension}, {lower.dimension}) "
+            f"for homology degree {hom_degree}")
+    rows = [i for i, cid in enumerate(x.cell_ids(d)) if cid not in lower.members]
+    cols = x.positions(d + 1, upper.members)
+    mat = boundary_matrix(x, d + 1).submatrix(rows, cols)
+    if rank(mat) != len(rows):
+        raise ValueError("relative homology group is infinite")
+    return invariant_factor_product([row[:] for row in mat.data])

@@ -681,6 +681,31 @@ def gram_det(b):
     return gram_det_of([[b.data[i][j] for i in range(b.rows)] for j in range(b.cols)])
 
 
+def _weighted_gram(a, mid_weights):
+    """a * diag(mid_weights) * a^t over rationals."""
+    m = a.rows
+    inner = a.cols
+    data = [[Fraction(0)] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            acc = Fraction(0)
+            for l in range(inner):
+                if a.data[i][l] and a.data[j][l]:
+                    acc += mid_weights[l] * (a.data[i][l] * a.data[j][l])
+            data[i][j] = acc
+            data[j][i] = acc
+    return RatMatrix(m, m, data)
+
+
+def _similarity_representative(core, row_weights):
+    """core * diag(row_weights)^{-1}: same characteristic polynomial as the
+    symmetric normalized matrix."""
+    n = core.rows
+    data = [[Fraction(core.data[i][j]) / row_weights[j] for j in range(n)]
+            for i in range(n)]
+    return RatMatrix(n, n, data)
+
+
 def _faddeev_leverrier(a):
     """Characteristic coefficients [c_0, ..., c_n] of a square list of int rows.
 

@@ -13,7 +13,8 @@ from fractions import Fraction
 from math import comb, prod
 
 from .complexes import (ComplexFormatError, boundary_matrix, standard_simplex)
-from .intmat import IntMatrix, RatMatrix, clear_denominators, det_bareiss
+from .intmat import (IntMatrix, _similarity_representative, _weighted_gram,
+                     clear_denominators, det_bareiss)
 from .spectra import VerificationReport
 
 MAX_SIMPLEX_VERTICES = 9
@@ -148,15 +149,6 @@ def _face_weight_diagonal(x, dim, vertex_weights):
     return out
 
 
-def _similarity_representative(core, row_weights):
-    """core * diag(row_weights)^{-1}: same characteristic polynomial as the
-    symmetric normalized matrix."""
-    n = core.rows
-    data = [[Fraction(core.data[i][j]) / row_weights[j] for j in range(n)]
-            for i in range(n)]
-    return RatMatrix(n, n, data)
-
-
 def build_kalai_matrix(n, k, kind, weights=None):
     """The actual matrix whose spectrum predicted_spectrum tabulates."""
     _check_params(n, k)
@@ -191,22 +183,6 @@ def build_kalai_matrix(n, k, kind, weights=None):
         return _similarity_representative(
             core, [low[p] for p in _faces_without_first_vertex(x, k - 1)])
     raise ComplexFormatError(f"unknown kind {kind!r}")
-
-
-def _weighted_gram(a, mid_weights):
-    """a * diag(mid_weights) * a^t over rationals."""
-    m = a.rows
-    inner = a.cols
-    data = [[Fraction(0)] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            acc = Fraction(0)
-            for l in range(inner):
-                if a.data[i][l] and a.data[j][l]:
-                    acc += mid_weights[l] * (a.data[i][l] * a.data[j][l])
-            data[i][j] = acc
-            data[j][i] = acc
-    return RatMatrix(m, m, data)
 
 
 def verify_kalai(n, k, kind, weights=None):

@@ -22,13 +22,16 @@ side as t0 times the twin cokernel order of the reduced boundary table
 the chosen cycle-matrix rows.  Geometric's cycle side runs the same check
 on the row sets of size z, whose complements are the spanning forests.
 
-Every verifier's right-hand side comes from one of two helpers.
-independent_subset_gram_sums is the one leaf fold, split over the process
-pool by smallest index: a leaf per subset checks it and returns a key and
-a summand (by default, the subset size and its Gram determinant).
-_pair_sums serves Kirchhoff and geometric's boundary side: it enumerates
-the (forest, coforest) pairs and checks each one, or, above one estimate
-of their number, collapses the coforest sums by Cauchy-Binet onto the fold.
+Every verifier's right-hand side comes from one fold,
+independent_subset_gram_sums, split over the process pool by smallest
+index: a leaf per subset checks it and returns a key, a summand and a
+count (by default, the subset size, its Gram determinant and 1).
+Kirchhoff and geometric's boundary side fold the forests of the boundary
+columns (_pair_sums): below one estimate of the number of (forest,
+coforest) pairs, the leaf _pair_leaf walks each forest's coforests, checks
+every pair, and checks that their squared minors sum to the forest's Gram
+determinant (Cauchy-Binet); above it, the fold sums the Gram determinants
+with no leaf.
 """
 
 import os
@@ -38,11 +41,14 @@ from functools import partial
 from math import comb, gcd
 from operator import mul
 
-from .complexes import CellSubset, ComplexFormatError, boundary_matrix, boundary_matrix_above
+from .complexes import (CellSubset, ComplexFormatError, boundary_matrix,
+                        boundary_matrix_above, encode_number)
 from .forests import (BoundaryWeightContext, CycleWeightContext, _column_vectors,
-                      boundary_weight, greedy_basis, kirchhoff_pair_weight)
-from .homology import integral_boundary_basis, integral_cycle_basis
-from .intmat import (IntMatrix, RatMatrix, _apply_pivot_ops, _pivot_ops, char_poly,
+                      greedy_basis, pair_weight)
+from .homology import (covolume_squared, homology_covolume_squared,
+                       integral_boundary_basis, integral_cycle_basis, torsion_order)
+from .intmat import (IntMatrix, RatMatrix, _apply_pivot_ops, _pivot_ops,
+                     _similarity_representative, _weighted_gram, char_poly,
                      char_poly_rational, rank, solve_bareiss)
 
 MESH_KINDS = ("cycles", "boundaries", "laplacian", "weighted_laplacian")
@@ -66,27 +72,17 @@ class MeshMatrix:
         self.matrix = matrix
         self.basis_provenance = basis_provenance
 
-    def char_poly(self):
-        return char_poly(self.matrix)
-
     def __repr__(self):
         return (f"MeshMatrix({self.kind}, d={self.dim}, "
                 f"{self.matrix.rows}x{self.matrix.cols}, {self.basis_provenance})")
 
 
-def encode_number(v):
-    """An int or Fraction as a decimal string, "p" or "p/q" in lowest terms,
-    so that large values survive JSON; anything else is returned as is."""
-    if isinstance(v, Fraction):
-        return (str(v.numerator) if v.denominator == 1
-                else f"{v.numerator}/{v.denominator}")
-    if isinstance(v, int):
-        return str(v)
-    return v
-
-
 class VerificationReport:
-    """Per-coefficient comparison of both sides of a theorem."""
+    """Per-coefficient comparison of both sides of a theorem.
+
+    The measured time stays on `elapsed_ms`; the JSON form nulls it, so
+    identical runs print identical reports.
+    """
 
     def __init__(self, theorem, dim, rows, passed, elapsed_ms, notes=()):
         self.theorem = theorem
@@ -96,7 +92,7 @@ class VerificationReport:
         self.elapsed_ms = elapsed_ms
         self.notes = list(notes)
 
-    def to_json_dict(self, deterministic=False):
+    def to_json_dict(self):
         rows = []
         for row in self.rows:
             out = {}
@@ -109,7 +105,7 @@ class VerificationReport:
             "dim": self.dim,
             "rows": rows,
             "pass": self.passed,
-            "elapsed_ms": None if deterministic else self.elapsed_ms,
+            "elapsed_ms": None,
             "notes": self.notes,
         }
 
@@ -159,16 +155,8 @@ def weighted_laplacian(x, d, weights):
     w_lo = [weights[cid] for cid in x.cell_ids(d - 1)]
     if any(w <= 0 for w in w_hi + w_lo):
         raise ComplexFormatError("weights must be strictly positive")
-    n = a.rows
-    data = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = Fraction(0)
-            for l in range(a.cols):
-                if a.data[i][l] and a.data[j][l]:
-                    acc += Fraction(a.data[i][l] * a.data[j][l]) * w_hi[l]
-            data[i][j] = acc / w_lo[j]
-    return MeshMatrix("weighted_laplacian", d, RatMatrix(n, n, data), "cellular")
+    return MeshMatrix("weighted_laplacian", d,
+                      _similarity_representative(_weighted_gram(a, w_hi), w_lo), "cellular")
 
 
 def greedy_spanning_forest(x, d):
@@ -382,11 +370,12 @@ def independent_subset_gram_sums(vectors, rank_cap, processes=1, leaf=None, twin
     subsets of `vectors` with at least `min_size` and at most `rank_cap`
     members, `rank_cap` bounding the rank of `vectors`.
 
-    Without `leaf` the key is the subset size and the summand its Gram
-    determinant.  `leaf(index tuple, gram, cokernel order)`, when given,
-    runs at every subset, raises on a failed identity and returns (key,
-    summand); it must be picklable.  With `twins` (see independent_subsets)
-    the leaf also gets the twin cokernel order as a fourth argument.
+    Without `leaf` the key is the subset size, the summand its Gram
+    determinant and the count 1.  `leaf(index tuple, gram, cokernel
+    order)`, when given, runs at every subset, raises on a failed identity
+    and returns (key, summand, count); it must be picklable.  With `twins`
+    (see independent_subsets) the leaf also gets the twin cokernel order as
+    a fourth argument.
     The subsets are split by smallest index over `processes` workers when
     processes > 1 and sum_{j <= rank_cap} C(n, j) > _POOL_MIN_SUBSETS; the
     result is the same for any process count.
@@ -411,12 +400,12 @@ def _fold(args):
     out = {}
     for found in independent_subsets(vectors, rank_cap, first, twins, min_size):
         if leaf is None:
-            key, summand = len(found[0]), found[1]
+            key, summand, count = len(found[0]), found[1], 1
         else:
-            key, summand = leaf(*found)
+            key, summand, count = leaf(*found)
         acc = out.setdefault(key, [0, 0])
         acc[0] += summand
-        acc[1] += 1
+        acc[1] += count
     return out
 
 
@@ -475,7 +464,7 @@ def _report(theorem, d, rows, start, notes=()):
 
 def _trent_leaf_check(t0, t_x, chosen, gram, cok, twin_cok):
     """Trent's leaf check, the cokernel-order identity; returns the fold's
-    (subset size, gram).
+    (subset size, gram, 1).
 
     The rows `chosen` of the cycle matrix are independent, so their
     complement W is a k-augmented spanning forest whose weight is `gram`,
@@ -497,7 +486,7 @@ def _trent_leaf_check(t0, t_x, chosen, gram, cok, twin_cok):
             f"cokernel order {cok} != torsion ratio {ratio} on rows {list(chosen)}")
     if gram % (ratio * ratio):
         raise AssertionError("covolume not divisible by squared torsion ratio")
-    return len(chosen), gram
+    return len(chosen), gram, 1
 
 
 def verify_theorem1(x, d, basis=None, processes=None):
@@ -536,15 +525,14 @@ def verify_theorem1(x, d, basis=None, processes=None):
 # Theorem 2: boundary mesh matrix vs k-reduced spanning coforests.
 # ---------------------------------------------------------------------------
 
-def _boundary_leaf_check(ctx, basis, chosen, gram, cok):
+def _boundary_leaf_check(ctx, chosen, gram, cok):
     """Theorem 2's leaf check: the rows `chosen` of the boundary matrix are
-    a k-reduced spanning coforest, whose relative-order form in
-    boundary_weight must give the engine's Gram determinant `gram`.
-    Returns the fold's (subset size, gram)."""
-    ids = ctx.x.cell_ids(ctx.d)
-    subset = CellSubset(ctx.d, [ids[i] for i in chosen])
-    boundary_weight(ctx.x, ctx.d, subset, basis, ctx, direct=gram)
-    return len(chosen), gram
+    a k-reduced spanning coforest, whose relative-order form
+    (BoundaryWeightContext.weigh) must give the engine's Gram determinant
+    `gram`.
+    Returns the fold's (subset size, gram, 1)."""
+    ctx.weigh(chosen, gram)
+    return len(chosen), gram, 1
 
 
 def verify_theorem2(x, d, basis=None, processes=None):
@@ -564,7 +552,7 @@ def verify_theorem2(x, d, basis=None, processes=None):
     b = basis.basis.cols
     ctx = BoundaryWeightContext(x, d, basis)
     sums = independent_subset_gram_sums(ctx.rows, b, processes,
-                                        partial(_boundary_leaf_check, ctx, basis))
+                                        partial(_boundary_leaf_check, ctx))
     rhs = {b - size: acc for size, acc in sums.items()}
     rhs[b] = [1, 0]
     rows = _rows(range(b, -1, -1), lambda k: (-1) ** (b - k) * poly.coefficient(k), rhs)
@@ -577,46 +565,51 @@ def verify_theorem2(x, d, basis=None, processes=None):
 
 # Above this many estimated (forest, coforest) pairs, sum_m C(#columns, m) *
 # C(#rows, m), a pair sum is collapsed by Cauchy-Binet instead of enumerated.
-# An enumerated pair costs about 150 us, so cases below the bound can be slow
-# (2-CPU Xeon, serial): on a 6-vertex simplicial complex with rank d_2 = 9
-# (estimate 1,307,503; 77,919 pairs) geometric d=1 takes 11.6 s here, where
-# its old n_d <= 8 rule collapsed in 0.16 s, and kirchhoff d=2 takes 12.4 s,
-# as before.  On 7 vertices with rank d_2 = 7 (estimate 1,184,039; 8,909
-# pairs) geometric d=1 went from 2.8 s to 4.4 s.
+# An enumerated pair costs about 75 us, so cases below the bound can be slow
+# (2-CPU Xeon, serial): on the 6-vertex complex of the triangles 125, 145,
+# 156, 234, 235, 245, 256, 356, 456 (rank d_2 = 9, estimate 1,307,503)
+# kirchhoff d=2 takes 5.1 s (60,759 pairs) and geometric d=1 5.4 s, against
+# 0.01 s and 0.15 s collapsed; kirchhoff on rp2 d=1 (16,806 pairs) 1.2 s.
 _PAIR_THRESHOLD = 2_000_000
 
 
-def _pair_sums(x, d, cols, col_ids, cap, processes):
-    """The pair sums of the boundary columns `cols` of the d-cells `col_ids`
-    (rows: the (d-1)-cells), and whether they were collapsed.
+def _pair_leaf(cols, vidx, gram, cok):
+    """The pair leaf: the columns `vidx` of `cols` are a forest V with Gram
+    determinant `gram`.  Walks V's spanning coforests W, the independent
+    m-sets of the rows of V's columns, whose Gram determinant is the squared
+    m x m minor; each pair must pass pair_weight, and by Cauchy-Binet the
+    squared minors must sum to `gram`.  Returns the fold's (m, gram, number
+    of pairs)."""
+    m = len(vidx)
+    rows = list(zip(*(cols[j] for j in vidx)))
+    total = count = 0
+    for widx, det_sq, _ in independent_subsets(rows, m, min_size=m):
+        if pair_weight(cols, vidx, widx) != det_sq:
+            raise AssertionError("pair weight mismatch")
+        total += det_sq
+        count += 1
+    if total != gram:
+        raise AssertionError(
+            f"Cauchy-Binet: pair sum {total} != Gram determinant {gram} of columns {list(vidx)}")
+    return m, gram, count
+
+
+def _pair_sums(cols, n_rows, cap, processes):
+    """The pair sums of the boundary columns `cols`, with `n_rows` rows, and
+    whether they were collapsed.
 
     Returns ({m: [sum, count]}, collapsed): for each forest V of m <= cap
     of the columns, the sum over the spanning coforests W of V of the
-    squared m x m incidence minor on (W, V).  The pairs are enumerated one
-    by one, and each must pass kirchhoff_pair_weight (the minor's
-    determinant, and the squared relative order) against the engine's
-    det^2, unless more than _PAIR_THRESHOLD pairs are estimated: then the
-    inner sum is collapsed by Cauchy-Binet to the Gram determinant of V's
-    columns, on the pooled fold, and a count is a forest, not a pair.
+    squared m x m incidence minor on (W, V), which by Cauchy-Binet is the
+    Gram determinant of V's columns.  One fold walks the forests.  At or
+    below _PAIR_THRESHOLD estimated pairs its leaf is _pair_leaf, which
+    checks every pair and their sum, and a count is a pair; above it the
+    fold has no leaf, and a count is a forest.
     """
-    n, n_rows = len(cols), x.n_cells(d - 1)
-    if sum(comb(n, m) * comb(n_rows, m) for m in range(1, cap + 1)) > _PAIR_THRESHOLD:
-        return independent_subset_gram_sums(cols, cap, processes), True
-    ids_low = x.cell_ids(d - 1)
-    sums = {}
-    for vidx, _, _ in independent_subsets(cols, cap):
-        m = len(vidx)
-        vsub = CellSubset(d, [col_ids[j] for j in vidx])
-        rows = list(zip(*(cols[j] for j in vidx)))
-        # square m x m minors: the Gram determinant is det^2
-        for widx, det_sq, _ in independent_subsets(rows, m, min_size=m):
-            wsub = CellSubset(d - 1, [ids_low[i] for i in widx])
-            if kirchhoff_pair_weight(x, d, vsub, wsub) != det_sq:
-                raise AssertionError("pair weight mismatch")
-            acc = sums.setdefault(m, [0, 0])
-            acc[0] += det_sq
-            acc[1] += 1
-    return sums, False
+    n = len(cols)
+    collapsed = sum(comb(n, m) * comb(n_rows, m) for m in range(1, cap + 1)) > _PAIR_THRESHOLD
+    leaf = None if collapsed else partial(_pair_leaf, cols)
+    return independent_subset_gram_sums(cols, cap, processes, leaf), collapsed
 
 
 def verify_kirchhoff_lyons(x, d, processes=None):
@@ -632,7 +625,7 @@ def verify_kirchhoff_lyons(x, d, processes=None):
     n_low = x.n_cells(d - 1)
     bd = boundary_matrix(x, d)
     b_low = rank(bd)
-    rhs, collapsed = _pair_sums(x, d, _column_vectors(bd), x.cell_ids(d), b_low, processes)
+    rhs, collapsed = _pair_sums(_column_vectors(bd), n_low, b_low, processes)
     rows = _rows(range(1, b_low + 1), lambda m: (-1) ** m * poly.coefficient(n_low - m),
                  rhs)
     if rows:
@@ -649,10 +642,10 @@ def _geometric_cycle_leaf(t0, t_x, free_bit, chosen, gram, cok, twin_cok):
     """Geometric's cycle-side leaf: the cycle rows `chosen` are the
     complement of a spanning forest V and must pass trent's leaf check.
     Returns the fold's key, the bitmask of V - V0 (free_bit maps each
-    position outside V0 to its bit), and t(X_V)^2 = (t0 * twin_cok)^2."""
+    position outside V0 to its bit), t(X_V)^2 = (t0 * twin_cok)^2, and 1."""
     _trent_leaf_check(t0, t_x, chosen, gram, cok, twin_cok)
     t_v = t0 * twin_cok
-    return (1 << len(chosen)) - 1 - sum(free_bit.get(p, 0) for p in chosen), t_v * t_v
+    return (1 << len(chosen)) - 1 - sum(free_bit.get(p, 0) for p in chosen), t_v * t_v, 1
 
 
 def verify_geometric_theorems(x, d, v0=None, v1=None, processes=None):
@@ -744,12 +737,31 @@ def verify_geometric_theorems(x, d, v0=None, v1=None, processes=None):
     # V1's columns of the boundary matrix, read apart from g1: V1 is a
     # forest, so every subset of them is independent
     v1pos = x.positions(d + 1, v1.members)
-    up_cols, ids_up = _column_vectors(boundary_matrix_above(x, d)), x.cell_ids(d + 1)
-    rhs, collapsed = _pair_sums(x, d + 1, [up_cols[j] for j in v1pos],
-                                [ids_up[j] for j in v1pos], b, processes)
+    up_cols = _column_vectors(boundary_matrix_above(x, d))
+    rhs, collapsed = _pair_sums([up_cols[j] for j in v1pos], n, b, processes)
     rhs[0] = [1, 0]
     rows += _rows(range(b + 1), lambda k: (-1) ** k * poly1.coefficient(b - k), rhs,
                   "boundaries")
     if collapsed:
         notes.append("boundary inner coforest sums collapsed via Cauchy-Binet")
     return _report("geometric", d, rows, start, notes)
+
+
+# ---------------------------------------------------------------------------
+# Covolume identity.
+# ---------------------------------------------------------------------------
+
+def verify_covolume(x, d):
+    """Check covol^2(cycles) * t_d^2 = covol^2(boundaries) * the homology
+    covolume squared, which homology_covolume_squared itself takes two
+    ways (quotient formula and projection) and raises on when they differ."""
+    start = time.monotonic()
+    z = integral_cycle_basis(x, d)
+    b = integral_boundary_basis(x, d)
+    t = torsion_order(x, d)
+    hcov = homology_covolume_squared(x, d, z, b)
+    lhs = covolume_squared(z) * t * t
+    rows = _rows([0], lambda k: lhs, {0: [covolume_squared(b) * hcov, 0]})
+    return _report("covolume", d, rows, start,
+                   ["lhs = covol^2(cycles) * torsion^2; "
+                    "rhs = covol^2(boundaries) * homology covol^2"])

@@ -116,13 +116,29 @@ def double_v_order(monkeypatch):
 
 
 def quadruple_pair_weight(monkeypatch):
-    """Make the pair path of spectra._pair_sums (Kirchhoff's, and geometric's
-    boundary side) see four times every kirchhoff_pair_weight, as a wrong
-    incidence minor or relative order would give."""
+    """Make the pair leaf of spectra._pair_sums (Kirchhoff's, and geometric's
+    boundary side) see four times every pair_weight, as a wrong incidence
+    minor or relative order would give."""
     import cellmesh.spectra as spectra
-    weight = spectra.kirchhoff_pair_weight
-    monkeypatch.setattr(spectra, "kirchhoff_pair_weight",
-                        lambda *args: 4 * weight(*args))
+    weight = spectra.pair_weight
+    monkeypatch.setattr(spectra, "pair_weight", lambda *args: 4 * weight(*args))
+
+
+def lose_one_coforest(monkeypatch):
+    """Make every inner coforest walk of spectra._pair_leaf skip its first
+    coforest, as an engine that lost a subset would.  The inner walks are
+    the engine runs with min_size equal to max_size and no twins; the
+    forest walks of Kirchhoff and geometric's boundary side start at size 1,
+    and geometric's cycle side carries twins."""
+    import cellmesh.spectra as spectra
+    walk = spectra.independent_subsets
+
+    def lossy(vectors, max_size=None, first=None, twins=None, min_size=1):
+        found = walk(vectors, max_size, first, twins, min_size)
+        if twins is None and min_size == max_size:
+            next(found, None)
+        return found
+    monkeypatch.setattr(spectra, "independent_subsets", lossy)
 
 
 def double_lift_column(monkeypatch):

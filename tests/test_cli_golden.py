@@ -8,8 +8,15 @@ intended, with `PYTHONPATH=src python tests/test_cli_golden.py --record`:
 that runs every corpus case serially and keeps the ones that finish within
 RECORD_LIMIT_S.  The recorded cases should stay within a budget of about
 20 s of wall time on one core (98 cases took about 1.3 s on a 2-CPU
-Xeon).  The budget is stated, not asserted, so machine load cannot fail
-the test; `pytest --durations` shows its time.
+Xeon).
+
+The recorded Kirchhoff and geometric cases whose forests are folded with
+the pair leaf (nothing collapsed, at least one pair row) are replayed a
+second time at CELLMESH_PROCESSES=2 with the process pool forced, against
+the same record.  That replay should stay within about 20 s too (16
+cases took about 0.5 s on the same machine).  Neither budget is asserted,
+so machine load cannot fail the tests; `pytest --durations` shows their
+times.
 """
 
 import json
@@ -49,12 +56,38 @@ def _invoke(case, capsys):
     return [code, captured.out, captured.err]
 
 
+def _load_record():
+    with open(RECORD) as fh:
+        return json.load(fh)
+
+
+def _runs_pair_leaf(case, expected):
+    """Whether a recorded run folds forests with spectra._pair_leaf: a
+    passing Kirchhoff or geometric run that collapsed nothing and has a
+    row of pairs (every Kirchhoff row, a geometric boundaries row k >= 1)."""
+    code, out, _ = expected
+    if case.split()[1] not in ("kirchhoff", "geometric") or code != 0:
+        return False
+    doc = json.loads(out)
+    return (not any("collapsed" in note for note in doc["notes"])
+            and any(row["k"] >= 1 for row in doc["rows"] if row.get("side") != "cycles"))
+
+
 def test_verify_matches_record(capsys, monkeypatch):
     monkeypatch.setenv("CELLMESH_PROCESSES", "1")
-    with open(RECORD) as fh:
-        record = json.load(fh)
-    for case, expected in record.items():
+    for case, expected in _load_record().items():
         assert _invoke(case, capsys) == expected, case
+
+
+def test_pair_leaf_cases_match_record_in_the_pool(capsys, monkeypatch):
+    import cellmesh.spectra as spectra
+    monkeypatch.setenv("CELLMESH_PROCESSES", "2")
+    monkeypatch.setattr(spectra, "_POOL_MIN_SUBSETS", 0)
+    record = _load_record()
+    cases = [case for case, expected in record.items() if _runs_pair_leaf(case, expected)]
+    assert cases
+    for case in cases:
+        assert _invoke(case, capsys) == record[case], case
 
 
 def _record():

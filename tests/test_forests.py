@@ -11,7 +11,7 @@ from cellmesh.complexes import CellSubset, ComplexFormatError, boundary_matrix, 
 from cellmesh.corpus import RP2_FACES
 from cellmesh.forests import (BoundaryWeightContext, CycleWeightContext,
                               boundary_weight, classify, cycle_weight,
-                              enumerate_forests, kirchhoff_pair_weight)
+                              enumerate_forests, kirchhoff_pair_weight, pair_weight)
 from cellmesh.homology import integral_boundary_basis, integral_cycle_basis
 from cellmesh.intmat import IntMatrix, gram_det, kernel_basis, rank, invariant_factor_product
 from cellmesh.spectra import independent_subsets
@@ -300,8 +300,9 @@ def test_boundary_weight_f_independence(corpus):
         assert isinstance(w.weight_parts["f"], Fraction)
 
 
-def test_boundary_weight_rejects_wrong_direct(corpus):
-    # a Gram determinant passed in as `direct` is checked, not trusted
+def test_boundary_weigh_rejects_wrong_gram(corpus):
+    # the Gram determinant handed to BoundaryWeightContext.weigh is checked,
+    # not trusted; the engine's own passes and gives the public parts
     for name, d in (("moore_z2", 1), ("delta3", 1), ("sphere2", 1)):
         x = corpus[name]
         b = integral_boundary_basis(x, d)
@@ -309,15 +310,15 @@ def test_boundary_weight_rejects_wrong_direct(corpus):
         ids = x.cell_ids(d)
         for idx, gram, _ in independent_subsets(ctx.rows, b.rank):
             subset = CellSubset(d, [ids[i] for i in idx])
-            assert boundary_weight(x, d, subset, b, ctx, direct=gram).weight == gram
+            assert ctx.weigh(idx, gram) == boundary_weight(x, d, subset, b, ctx).weight_parts
             with pytest.raises(AssertionError, match="boundary weight mismatch"):
-                boundary_weight(x, d, subset, b, ctx, direct=gram + 1)
+                ctx.weigh(idx, gram + 1)
 
 
 def test_boundary_weight_rejects_dependent_subset(corpus):
-    # the kernel rank is the one subset check: a public caller's dependent or
-    # oversized subset is a ComplexFormatError, one behind `direct` an
-    # AssertionError
+    # a public caller's dependent or oversized subset (Gram determinant 0)
+    # is a ComplexFormatError; handed to BoundaryWeightContext.weigh, the
+    # kernel rank rejects it with an AssertionError
     x = corpus["delta3"]
     b = integral_boundary_basis(x, 1)
     ids = x.cell_ids(1)
@@ -330,7 +331,7 @@ def test_boundary_weight_rejects_dependent_subset(corpus):
         with pytest.raises(ComplexFormatError, match="not a k-reduced"):
             boundary_weight(x, 1, subset, b)
         with pytest.raises(AssertionError, match="kernel of rank"):
-            boundary_weight(x, 1, subset, b, direct=1)
+            BoundaryWeightContext(x, 1, b).weigh(pos, 1)
 
 
 def test_kirchhoff_pair_examples(corpus):
@@ -364,6 +365,21 @@ def test_kirchhoff_pair_examples(corpus):
     from cellmesh.homology import relative_order
     comp = CellSubset(1, set(edge_ids) - w.members)
     assert weight == relative_order(rp2, v, comp, 1) ** 2
+
+
+def test_pair_weight_checks_the_relative_order(corpus, monkeypatch):
+    # pair_weight's second route, the invariant-factor product of the same
+    # minor, must agree with the Bareiss determinant on every nonzero pair
+    import cellmesh.forests as forests
+    k4 = corpus["k4"]
+    cols = [tuple(col) for col in zip(*boundary_matrix(k4, 1).data)]
+    assert pair_weight(cols, (0, 1, 2), (1, 2, 3)) == 1
+    assert pair_weight(cols, (0, 1, 3), (1, 2, 3)) == 0
+    ifp = forests.invariant_factor_product
+    monkeypatch.setattr(forests, "invariant_factor_product", lambda m: 2 * ifp(m))
+    with pytest.raises(AssertionError, match="pair weight 1 != relative order 2 squared"):
+        pair_weight(cols, (0, 1, 2), (1, 2, 3))
+    assert pair_weight(cols, (0, 1, 3), (1, 2, 3)) == 0
 
 
 def test_theorem1_integrality_of_ratios(corpus):

@@ -9,8 +9,8 @@ import pytest
 from cellmesh.complexes import (CellSubset, ComplexFormatError,
                                 WeightAssignment, boundary_matrix, simplex_id)
 from cellmesh.corpus import RP2_FACES
-from cellmesh.forests import (CycleWeightContext, boundary_weight, cycle_weight,
-                              enumerate_forests)
+from cellmesh.forests import (BoundaryWeightContext, CycleWeightContext, boundary_weight,
+                              cycle_weight, enumerate_forests)
 from cellmesh.homology import (LatticeBasis, integral_boundary_basis,
                                integral_cycle_basis)
 from cellmesh.intmat import (IntMatrix, char_poly, char_poly_rational,
@@ -24,7 +24,8 @@ from cellmesh.spectra import (combinatorial_laplacian, geometric_boundary_basis,
                               verify_theorem1, verify_theorem2,
                               weighted_laplacian)
 from conftest import (dependent_twin, double_t_x, double_torsion, double_v_order,
-                      perturb_reduced_table, random_unimodular, scale_unit_row)
+                      lose_one_coforest, perturb_reduced_table, quadruple_pair_weight,
+                      random_unimodular, scale_unit_row)
 
 SMALL = [("k3", 1), ("k4", 1), ("theta", 1), ("p2", 1), ("delta3", 1),
          ("delta3", 2), ("delta3", 3), ("sphere2", 1), ("sphere2", 2),
@@ -319,6 +320,50 @@ def test_geometric_rejects_doubled_torsion_in_the_pool(corpus, monkeypatch):
     assert type(info.value.__cause__).__name__ == "_RemoteTraceback"
 
 
+def test_pair_leaf_process_count_determinism(corpus, monkeypatch):
+    # the pair leaf of Kirchhoff and geometric's boundary side runs on the
+    # pooled fold: every row and note must match between 1 and 2 workers
+    entered = force_pool(monkeypatch)
+    for name in ("k4", "rp2", "delta3"):
+        for verify in (verify_kirchhoff_lyons, verify_geometric_theorems):
+            one = verify(corpus[name], 1, processes=1)
+            assert entered == []
+            many = verify(corpus[name], 1, processes=2)
+            assert one.passed and one.rows == many.rows and one.notes == many.notes
+            assert entered, (name, verify.__name__)
+            entered.clear()
+
+
+def test_pair_leaf_rejects_wrong_pair_weight_in_the_pool(corpus, monkeypatch):
+    # a quadrupled position-level pair weight must fail at the first pair,
+    # serially and inside the workers
+    quadruple_pair_weight(monkeypatch)
+    entered = force_pool(monkeypatch)
+    for name, verify in (("k4", verify_kirchhoff_lyons), ("delta3", verify_geometric_theorems)):
+        for processes in (1, 2):
+            with pytest.raises(AssertionError, match="pair weight mismatch") as info:
+                verify(corpus[name], 1, processes=processes)
+            assert (processes > 1) == (type(info.value.__cause__).__name__
+                                       == "_RemoteTraceback")
+    assert entered
+
+
+def test_pair_leaf_rejects_a_lost_coforest(corpus, monkeypatch):
+    # an inner coforest walk that skips one coforest passes every pair check,
+    # so only the Cauchy-Binet sum against the forest's Gram determinant can
+    # see it, serially and in the pool
+    lose_one_coforest(monkeypatch)
+    entered = force_pool(monkeypatch)
+    for name, verify in (("k4", verify_kirchhoff_lyons), ("rp2", verify_kirchhoff_lyons),
+                         ("delta3", verify_geometric_theorems)):
+        for processes in (1, 2):
+            with pytest.raises(AssertionError, match="Cauchy-Binet: pair sum") as info:
+                verify(corpus[name], 1, processes=processes)
+            assert (processes > 1) == (type(info.value.__cause__).__name__
+                                       == "_RemoteTraceback")
+    assert entered
+
+
 def test_pair_sums_collapse_only_above_the_pair_threshold(corpus, monkeypatch):
     # Kirchhoff and geometric's boundary side choose between the pair path
     # and the Cauchy-Binet collapse by one estimate, sum_m C(#columns, m) *
@@ -328,7 +373,6 @@ def test_pair_sums_collapse_only_above_the_pair_threshold(corpus, monkeypatch):
     # record
     import cellmesh.spectra as spectra
     monkeypatch.setattr(spectra, "independent_subset_gram_sums", lambda *args, **kw: {})
-    monkeypatch.setattr(spectra, "independent_subsets", lambda *args, **kw: iter(()))
     collapsed = {"kirchhoff": [], "geometric": []}
     for name, x in sorted(corpus.items()):
         for d in range(1, x.dimension + 1):
@@ -449,28 +493,31 @@ def test_theorem2_rejects_doubled_v_order(corpus, monkeypatch):
 
 
 def test_theorem2_leaf_path_matches_public_boundary_weight(corpus, monkeypatch):
-    # the leaf check feeds boundary_weight the engine's Gram determinant;
-    # on every k-reduced coforest it must give the weight and parts of the
-    # public route, which validates and takes its own Gram determinant
-    import cellmesh.spectra as spectra
+    # the leaf check feeds BoundaryWeightContext.weigh the engine's sorted
+    # row positions and Gram determinant; on every k-reduced coforest it
+    # must give the weight and parts of the public route, which validates
+    # the cell ids and takes its own Gram determinant
+    weigh = BoundaryWeightContext.weigh
     fed = {}
 
-    def recorded(*args, **kwargs):
-        cert = boundary_weight(*args, **kwargs)
-        fed[cert.subset] = cert
-        return cert
-    monkeypatch.setattr(spectra, "boundary_weight", recorded)
+    def recorded(ctx, positions, gram):
+        parts = weigh(ctx, positions, gram)
+        fed[tuple(positions)] = (gram, parts)
+        return parts
+    monkeypatch.setattr(BoundaryWeightContext, "weigh", recorded)
     for name, d in (("moore_z2", 1), ("delta3", 1), ("delta3", 2), ("k4", 1)):
         x = corpus[name]
         basis = integral_boundary_basis(x, d)
+        ids = x.cell_ids(d)
         fed.clear()
         assert verify_theorem2(x, d, basis, processes=1).passed
+        leaves = {CellSubset(d, [ids[p] for p in pos]): got for pos, got in fed.items()}
         coforests = {cert.subset for k in range(basis.rank)
                      for cert in enumerate_forests(x, d, "k_reduced_coforest", k)}
-        assert set(fed) == coforests, (name, d)
-        for subset, cert in fed.items():
+        assert set(leaves) == coforests, (name, d)
+        for subset, got in leaves.items():
             public = boundary_weight(x, d, subset, basis)
-            assert (cert.weight, cert.weight_parts) == (public.weight, public.weight_parts)
+            assert got == (public.weight, public.weight_parts)
 
 
 def test_pool_failure_falls_back_to_serial(corpus, monkeypatch):
@@ -571,7 +618,7 @@ def test_independent_subsets_rank_routes_must_agree(monkeypatch):
 
 def test_report_serialization_strings(corpus):
     report = verify_theorem1(corpus["k4"], 1)
-    doc = report.to_json_dict(deterministic=True)
+    doc = report.to_json_dict()
     assert doc["elapsed_ms"] is None
     assert doc["rows"][0]["lhs"] == "1"
     assert all(isinstance(r["lhs"], str) for r in doc["rows"])
