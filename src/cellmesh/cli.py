@@ -117,26 +117,18 @@ def cmd_mesh(args):
     geometric = args.basis.startswith("geometric:")
     if not geometric and args.basis != "canonical":
         raise ComplexFormatError(f"bad --basis value {args.basis!r}")
-    if args.which == "cycles":
-        if geometric:
-            cells = _parse_cells(args.basis.split(":", 1)[1], d)
-            g = geometric_cycle_basis(x, d, cells)
-            matrix = g.transpose().mul(g)
-            provenance = f"geometric-from-forest({','.join(sorted(cells.members))})"
-        else:
-            basis = integral_cycle_basis(x, d)
-            matrix = mesh_matrix_cycles(x, d, basis, "canonical integral").matrix
-            provenance = "canonical integral"
+    cycles = args.which == "cycles"
+    if geometric:
+        cells = _parse_cells(args.basis.split(":", 1)[1], d if cycles else d + 1)
+        g = (geometric_cycle_basis if cycles else geometric_boundary_basis)(x, d, cells)
+        matrix = g.transpose().mul(g)
+        provenance = f"geometric-from-forest({','.join(sorted(cells.members))})"
+    elif cycles:
+        matrix = mesh_matrix_cycles(x, d, integral_cycle_basis(x, d)).matrix
+        provenance = "canonical integral"
     else:
-        if geometric:
-            cells = _parse_cells(args.basis.split(":", 1)[1], d + 1)
-            g = geometric_boundary_basis(x, d, cells)
-            matrix = g.transpose().mul(g)
-            provenance = f"geometric-from-forest({','.join(sorted(cells.members))})"
-        else:
-            basis = integral_boundary_basis(x, d)
-            matrix = mesh_matrix_boundaries(x, d, basis, "canonical integral").matrix
-            provenance = "canonical integral"
+        matrix = mesh_matrix_boundaries(x, d, integral_boundary_basis(x, d)).matrix
+        provenance = "canonical integral"
     doc = {
         "complex": x.name,
         "dim": d,

@@ -140,18 +140,29 @@ def homology_lift_basis(cycles, boundaries):
     return z.mul(lift_coords)
 
 
+def lift_gram(cycles, boundaries):
+    """The Gram determinant of the columns of B and of the homology lift L,
+    for the cycle and boundary bases of one degree: the projection route to
+    the homology covolume.
+
+    The Gram matrix of L's projection off the boundary span is the Schur
+    complement of B^t B in the Gram matrix of [B | L], so the homology
+    covolume squared is lift_gram / covol^2(B).  The lift spans, with B, a
+    lattice of index t_d in the cycles, so lift_gram = covol^2(Z) * t_d^2.
+    """
+    lift = homology_lift_basis(cycles, boundaries)
+    return gram_det_of([*zip(*boundaries.basis.data), *zip(*lift.data)])
+
+
 def homology_covolume_squared(x, d, cycles=None, boundaries=None):
     """Squared covolume of the projected homology lattice in the harmonics.
 
     Computed both as the quotient formula
         covol^2(cycles) * t_d^2 / covol^2(boundaries)
-    and directly as the Gram determinant of the orthogonal projection of the
-    canonical homology lift L off the boundary span; the two must agree.
-    The projection's Gram matrix is the Schur complement of B^t B in the
-    Gram matrix of the columns of B and L, so its determinant is
-    gram_det(B, L) / gram_det(B), a ratio of two integers.  The cycle and
-    boundary bases are built once, here or by a caller that passes them as
-    `cycles` and `boundaries`, and handed to the lift.
+    and by projection, as lift_gram / covol^2(boundaries); the two must
+    agree.  The cycle and boundary bases are built once, here or by a
+    caller that passes them as `cycles` and `boundaries`, and handed to the
+    lift.
     """
     if not 0 <= d <= x.dimension:
         raise ComplexFormatError(f"dimension {d} out of range 0..{x.dimension}")
@@ -160,8 +171,7 @@ def homology_covolume_squared(x, d, cycles=None, boundaries=None):
     t = torsion_order(x, d)
     covol_b = covolume_squared(b)
     quotient = Fraction(covolume_squared(z) * t * t, covol_b)
-    lift = homology_lift_basis(z, b)
-    direct = Fraction(gram_det_of([*zip(*b.basis.data), *zip(*lift.data)]), covol_b)
+    direct = Fraction(lift_gram(z, b), covol_b)
     if direct != quotient:
         raise AssertionError(
             f"homology covolume mismatch at d={d}: {direct} vs {quotient}")

@@ -4,12 +4,14 @@ Every elimination runs on lists of Python ints (IntMatrix): Bareiss
 determinants and solves, Hermite and Smith forms, and one integer
 Faddeev-LeVerrier kernel for characteristic polynomials.  RatMatrix, over
 fractions.Fraction, is only the value type of rational outputs (weighted
-Laplacians, weighted Kalai matrices, geometric cycle bases); their
-characteristic polynomials clear denominators by their lcm and run on the
-integer kernel.  Every routine is pure and returns fresh objects, and there
-is no floating point anywhere.  Empty shapes (0xn, nx0, 0x0) are legal
-throughout, with the empty-product conventions det(0x0) = 1 and char poly
-of the 0x0 matrix = 1.
+Laplacians, Kalai matrices, geometric cycle bases); their characteristic
+polynomials clear denominators by their lcm and run on the integer kernel.
+The weighted Laplacians and Kalai matrices come from one builder,
+weighted_gram, which accumulates in int and makes one Fraction per entry.
+Every routine is pure and returns fresh objects, and there is no floating
+point anywhere.  Empty shapes (0xn, nx0, 0x0) are legal throughout, with
+the empty-product conventions det(0x0) = 1 and char poly of the 0x0
+matrix = 1.
 """
 
 from fractions import Fraction
@@ -256,7 +258,18 @@ def det_rational(m):
 
 
 def rank_of_rows(rows, ncols):
-    """Rank of an integer matrix given as list of row-lists; destroys rows."""
+    """Rank of an integer matrix given as list of row-lists; destroys rows.
+
+    Fraction-free echelon elimination, as det_bareiss: step k turns every
+    row below the pivot into (p_k row - a row_k) / p_{k-1}, p_k the k-th
+    pivot and p_0 = 1, so every entry stays a minor of the input.  A row
+    with a = 0 would only be scaled by p_k / p_{k-1}; it is left alone and
+    remembers the step it is current at, and since the scalings telescope,
+    a row current at step l is brought to step k by p_k / p_l.  So a step
+    touches only the rows it eliminates, and each division is exact.
+    """
+    pivots = [1]
+    level = [0] * len(rows)
     rank = 0
     col = 0
     m = len(rows)
@@ -270,14 +283,20 @@ def rank_of_rows(rows, ncols):
             col += 1
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        pv = prow[col]
+        level[rank], level[piv] = level[piv], level[rank]
+        prow = rows[rank][col:]
+        if level[rank] != rank:
+            scale, prev = pivots[rank], pivots[level[rank]]
+            prow = [x * scale // prev for x in prow]
+        pv = prow[0]
         for i in range(rank + 1, m):
-            f = rows[i][col]
+            row_i = rows[i]
+            f = row_i[col]
             if f:
-                row_i = rows[i]
-                for j in range(col, ncols):
-                    row_i[j] = pv * row_i[j] - f * prow[j]
+                prev = pivots[level[i]]
+                row_i[col:] = [(pv * x - f * y) // prev for x, y in zip(row_i[col:], prow)]
+                level[i] = rank + 1
+        pivots.append(pv)
         rank += 1
         col += 1
     return rank
@@ -681,29 +700,31 @@ def gram_det(b):
     return gram_det_of([[b.data[i][j] for i in range(b.rows)] for j in range(b.cols)])
 
 
-def _weighted_gram(a, mid_weights):
-    """a * diag(mid_weights) * a^t over rationals."""
+def weighted_gram(a, mid_weights, row_weights):
+    """A diag(mid_weights) A^t diag(row_weights)^{-1} as a RatMatrix, for
+    an integer A and positive int or Fraction weights.
+
+    The right factor makes it a square-root-free representative of the
+    symmetric diag(row_weights)^{-1/2} A diag(mid_weights) A^t
+    diag(row_weights)^{-1/2}, so it has the same characteristic polynomial.
+    The weighted Gram matrix is accumulated in int over each column's
+    nonzero entries, with the mid weights scaled by the lcm D of their
+    denominators; each entry then becomes one Fraction of two ints.
+    """
     m = a.rows
-    inner = a.cols
-    data = [[Fraction(0)] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            acc = Fraction(0)
-            for l in range(inner):
-                if a.data[i][l] and a.data[j][l]:
-                    acc += mid_weights[l] * (a.data[i][l] * a.data[j][l])
-            data[i][j] = acc
-            data[j][i] = acc
-    return RatMatrix(m, m, data)
-
-
-def _similarity_representative(core, row_weights):
-    """core * diag(row_weights)^{-1}: same characteristic polynomial as the
-    symmetric normalized matrix."""
-    n = core.rows
-    data = [[Fraction(core.data[i][j]) / row_weights[j] for j in range(n)]
-            for i in range(n)]
-    return RatMatrix(n, n, data)
+    d = lcm(*(w.denominator for w in mid_weights))
+    acc = [[0] * m for _ in range(m)]
+    for w, col in zip(mid_weights, zip(*a.data)):
+        w = w.numerator * (d // w.denominator)
+        nonzero = [(i, x) for i, x in enumerate(col) if x]
+        for pos, (i, x) in enumerate(nonzero):
+            wx = w * x
+            row = acc[i]
+            for j, y in nonzero[pos:]:
+                row[j] += wx * y
+    return RatMatrix(m, m, [
+        [Fraction(acc[min(i, j)][max(i, j)] * rw.denominator, d * rw.numerator)
+         for j, rw in enumerate(row_weights)] for i in range(m)])
 
 
 def _faddeev_leverrier(a):

@@ -4,17 +4,19 @@ cycle basis built from the cone over the first vertex.
 The predictions are two-eigenvalue tables with binomial multiplicities;
 verification is eigensolver-free: the annihilating polynomial of the
 assembled matrix is expanded exactly, together with trace and determinant
-bookkeeping.  Weighted variants run on the square-root-free similarity
-representative so that everything stays rational.
+bookkeeping.  Every table is weighted by positive vertex weights, and the
+unweighted one is the case of unit weights: each matrix is the square-root-
+free similarity representative A W Aᵀ V⁻¹ that intmat.weighted_gram builds,
+so everything stays rational.
 """
 
 import time
 from fractions import Fraction
 from math import comb, prod
 
-from .complexes import (ComplexFormatError, boundary_matrix, standard_simplex)
-from .intmat import (IntMatrix, _similarity_representative, _weighted_gram,
-                     clear_denominators, det_bareiss)
+from .complexes import (ComplexFormatError, boundary_matrix, boundary_matrix_above,
+                        standard_simplex)
+from .intmat import IntMatrix, clear_denominators, det_bareiss, weighted_gram
 from .spectra import VerificationReport
 
 MAX_SIMPLEX_VERTICES = 9
@@ -97,8 +99,10 @@ def _phi_basis(x, k):
 
 
 def _parse_weights(n, weights):
+    """The n vertex weights as Fractions; unit weights (ints) when none are
+    given."""
     if weights is None:
-        return None
+        return [1] * n
     ws = [Fraction(w) for w in weights]
     if len(ws) != n:
         raise ComplexFormatError(f"expected {n} weights, got {len(ws)}")
@@ -110,29 +114,21 @@ def _parse_weights(n, weights):
 def predicted_spectrum(n, k, kind, weights=None):
     """Eigenvalue/multiplicity table for the requested matrix.
 
-    Unweighted: incidence Gram has eigenvalues 1 and n; the Laplacian of the
-    one-smaller simplex has 0 and n-1; the cycle-basis mesh matrix has n and
-    1 -- all with multiplicities C(n-2,k-1) and C(n-2,k).  With positive
-    vertex weights a_j the tables become: incidence a_1 and sum(a_1..a_n);
-    Laplacian 0 and sum(a_1..a_{n-1}); mesh a_1*sum(1/a_j over all n) and 1
-    (the latter derived from the incidence table the same way as in the
-    unweighted case).
+    With positive vertex weights a_j, all with multiplicities C(n-2,k-1)
+    and C(n-2,k): incidence a_1 and sum(a_1..a_n); Laplacian of the
+    one-smaller simplex 0 and sum(a_1..a_{n-1}); cycle-basis mesh matrix
+    a_1*sum(1/a_j over all n) and 1.  Unit weights (the default) give the
+    unweighted tables: 1 and n, 0 and n-1, n and 1.
     """
     _check_params(n, k)
     ws = _parse_weights(n, weights)
     m_low = comb(n - 2, k - 1)
     m_high = comb(n - 2, k)
     if kind == "incidence":
-        if ws is None:
-            return SpectrumSummary([(1, m_low), (n, m_high)])
         return SpectrumSummary([(ws[0], m_low), (sum(ws), m_high)])
     if kind == "laplacian":
-        if ws is None:
-            return SpectrumSummary([(0, m_low), (n - 1, m_high)])
         return SpectrumSummary([(0, m_low), (sum(ws[:n - 1]), m_high)])
     if kind == "mesh":
-        if ws is None:
-            return SpectrumSummary([(n, m_low), (1, m_high)])
         value = ws[0] * sum(Fraction(1) / w for w in ws)
         return SpectrumSummary([(value, m_low), (1, m_high)])
     raise ComplexFormatError(f"unknown kind {kind!r}")
@@ -140,48 +136,29 @@ def predicted_spectrum(n, k, kind, weights=None):
 
 def _face_weight_diagonal(x, dim, vertex_weights):
     """Diagonal of products of vertex weights over each dim-face."""
-    out = []
-    for cell in x.cells[dim]:
-        w = Fraction(1)
-        for v in cell.id.split("."):
-            w *= vertex_weights[int(v) - 1]
-        out.append(w)
-    return out
+    return [prod(vertex_weights[int(v) - 1] for v in cell.id.split("."))
+            for cell in x.cells.get(dim, ())]
 
 
 def build_kalai_matrix(n, k, kind, weights=None):
-    """The actual matrix whose spectrum predicted_spectrum tabulates."""
+    """The actual matrix whose spectrum predicted_spectrum tabulates, as a
+    RatMatrix A W Aᵀ V⁻¹ with W and V diagonal face weights."""
     _check_params(n, k)
     ws = _parse_weights(n, weights)
-    if kind == "incidence":
-        x = standard_simplex(n)
-        inc = _reduced_incidence(x, k)
-        if ws is None:
-            return inc.mul(inc.transpose())
-        low = _face_weight_diagonal(x, k - 1, ws)
-        core = _weighted_gram(inc, _face_weight_diagonal(x, k, ws))
-        return _similarity_representative(
-            core, [low[p] for p in _faces_without_first_vertex(x, k - 1)])
     if kind == "laplacian":
+        # the zero matrix at k = n-1, where the smaller simplex has no k-faces
         x = standard_simplex(n - 1)
-        n_rows = len(x.cells[k - 1])
-        if k > x.dimension:
-            return IntMatrix.zeros(n_rows, n_rows)
-        bd = boundary_matrix(x, k)
-        if ws is None:
-            return bd.mul(bd.transpose())
-        sub_ws = ws[:n - 1]
-        core = _weighted_gram(bd, _face_weight_diagonal(x, k, sub_ws))
-        return _similarity_representative(core, _face_weight_diagonal(x, k - 1, sub_ws))
+        return weighted_gram(boundary_matrix_above(x, k - 1),
+                             _face_weight_diagonal(x, k, ws),
+                             _face_weight_diagonal(x, k - 1, ws))
+    x = standard_simplex(n)
+    low = _face_weight_diagonal(x, k - 1, ws)
+    sub_low = [low[p] for p in _faces_without_first_vertex(x, k - 1)]
+    if kind == "incidence":
+        return weighted_gram(_reduced_incidence(x, k), _face_weight_diagonal(x, k, ws),
+                             sub_low)
     if kind == "mesh":
-        x = standard_simplex(n)
-        phi = _phi_basis(x, k)
-        if ws is None:
-            return phi.transpose().mul(phi)
-        low = _face_weight_diagonal(x, k - 1, ws)
-        core = _weighted_gram(phi.transpose(), low)
-        return _similarity_representative(
-            core, [low[p] for p in _faces_without_first_vertex(x, k - 1)])
+        return weighted_gram(_phi_basis(x, k).transpose(), low, sub_low)
     raise ComplexFormatError(f"unknown kind {kind!r}")
 
 

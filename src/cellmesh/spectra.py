@@ -45,36 +45,34 @@ from .complexes import (CellSubset, ComplexFormatError, boundary_matrix,
                         boundary_matrix_above, encode_number)
 from .forests import (BoundaryWeightContext, CycleWeightContext, _column_vectors,
                       greedy_basis, pair_weight)
-from .homology import (covolume_squared, homology_covolume_squared,
-                       integral_boundary_basis, integral_cycle_basis, torsion_order)
-from .intmat import (IntMatrix, RatMatrix, _apply_pivot_ops, _pivot_ops,
-                     _similarity_representative, _weighted_gram, char_poly,
-                     char_poly_rational, rank, solve_bareiss)
+from .homology import (covolume_squared, integral_boundary_basis, integral_cycle_basis,
+                       lift_gram, torsion_order)
+from .intmat import (IntMatrix, RatMatrix, _apply_pivot_ops, _pivot_ops, char_poly,
+                     char_poly_rational, rank, solve_bareiss, weighted_gram)
 
 MESH_KINDS = ("cycles", "boundaries", "laplacian", "weighted_laplacian")
 
 
 class MeshMatrix:
-    """A mesh or Laplacian matrix together with its basis provenance.
+    """A mesh or Laplacian matrix of one kind at one dimension.
 
     `matrix` is an IntMatrix for the unweighted kinds and a RatMatrix for
     the square-root-free weighted Laplacian representative (which is similar
     to the symmetric weighted operator but not itself symmetric).
     """
 
-    __slots__ = ("kind", "dim", "matrix", "basis_provenance")
+    __slots__ = ("kind", "dim", "matrix")
 
-    def __init__(self, kind, dim, matrix, basis_provenance):
+    def __init__(self, kind, dim, matrix):
         if kind not in MESH_KINDS:
             raise ValueError(f"bad mesh kind {kind!r}")
         self.kind = kind
         self.dim = dim
         self.matrix = matrix
-        self.basis_provenance = basis_provenance
 
     def __repr__(self):
         return (f"MeshMatrix({self.kind}, d={self.dim}, "
-                f"{self.matrix.rows}x{self.matrix.cols}, {self.basis_provenance})")
+                f"{self.matrix.rows}x{self.matrix.cols})")
 
 
 class VerificationReport:
@@ -118,20 +116,20 @@ class VerificationReport:
 # Matrix constructors.
 # ---------------------------------------------------------------------------
 
-def mesh_matrix_cycles(x, d, basis, provenance="user-supplied"):
+def mesh_matrix_cycles(x, d, basis):
     """Gram matrix of an integral d-cycle basis under the cellular pairing."""
     if basis.kind != "cycles" or basis.dimension != d:
         raise ComplexFormatError("mesh_matrix_cycles needs a cycle basis at d")
     gram = basis.basis.transpose().mul(basis.basis)
-    return MeshMatrix("cycles", d, gram, provenance)
+    return MeshMatrix("cycles", d, gram)
 
 
-def mesh_matrix_boundaries(x, d, basis, provenance="user-supplied"):
+def mesh_matrix_boundaries(x, d, basis):
     """Gram matrix of an integral d-boundary basis under the cellular pairing."""
     if basis.kind != "boundaries" or basis.dimension != d:
         raise ComplexFormatError("mesh_matrix_boundaries needs a boundary basis at d")
     gram = basis.basis.transpose().mul(basis.basis)
-    return MeshMatrix("boundaries", d, gram, provenance)
+    return MeshMatrix("boundaries", d, gram)
 
 
 def combinatorial_laplacian(x, d):
@@ -139,14 +137,14 @@ def combinatorial_laplacian(x, d):
     if not 1 <= d <= x.dimension:
         raise ComplexFormatError(f"dimension {d} out of range 1..{x.dimension}")
     k = boundary_matrix(x, d)
-    return MeshMatrix("laplacian", d, k.mul(k.transpose()), "cellular")
+    return MeshMatrix("laplacian", d, k.mul(k.transpose()))
 
 
 def weighted_laplacian(x, d, weights):
     """Square-root-free weighted Laplacian A W_d A^t W_{d-1}^{-1}.
 
     Similar to the symmetric weighted operator, hence with the same
-    characteristic polynomial; kept in rational arithmetic throughout.
+    characteristic polynomial; built by intmat.weighted_gram.
     """
     if not 1 <= d <= x.dimension:
         raise ComplexFormatError(f"dimension {d} out of range 1..{x.dimension}")
@@ -155,8 +153,7 @@ def weighted_laplacian(x, d, weights):
     w_lo = [weights[cid] for cid in x.cell_ids(d - 1)]
     if any(w <= 0 for w in w_hi + w_lo):
         raise ComplexFormatError("weights must be strictly positive")
-    return MeshMatrix("weighted_laplacian", d,
-                      _similarity_representative(_weighted_gram(a, w_hi), w_lo), "cellular")
+    return MeshMatrix("weighted_laplacian", d, weighted_gram(a, w_hi, w_lo))
 
 
 def greedy_spanning_forest(x, d):
@@ -753,15 +750,14 @@ def verify_geometric_theorems(x, d, v0=None, v1=None, processes=None):
 
 def verify_covolume(x, d):
     """Check covol^2(cycles) * t_d^2 = covol^2(boundaries) * the homology
-    covolume squared, which homology_covolume_squared itself takes two
-    ways (quotient formula and projection) and raises on when they differ."""
+    covolume squared, the right side taken by projection: lift_gram, the
+    Gram determinant of the boundary basis and the homology lift."""
     start = time.monotonic()
     z = integral_cycle_basis(x, d)
     b = integral_boundary_basis(x, d)
     t = torsion_order(x, d)
-    hcov = homology_covolume_squared(x, d, z, b)
     lhs = covolume_squared(z) * t * t
-    rows = _rows([0], lambda k: lhs, {0: [covolume_squared(b) * hcov, 0]})
+    rows = _rows([0], lambda k: lhs, {0: [lift_gram(z, b), 0]})
     return _report("covolume", d, rows, start,
                    ["lhs = covol^2(cycles) * torsion^2; "
                     "rhs = covol^2(boundaries) * homology covol^2"])

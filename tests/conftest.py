@@ -167,7 +167,7 @@ def perturb_kalai_matrix(monkeypatch):
 
     def perturbed(*args):
         m = build(*args)
-        data = [[Fraction(v) for v in row] for row in m.data]
+        data = [row[:] for row in m.data]
         data[0][-1] += Fraction(1, 7)
         return RatMatrix(m.rows, m.cols, data)
     monkeypatch.setattr(kalai, "build_kalai_matrix", perturbed)
@@ -194,6 +194,42 @@ def rational_solve_oracle(a, b):
     if any(any(row[n:]) for row in aug[n:]):
         raise ValueError("inconsistent system")
     return [row[n:] for row in aug[:n]]
+
+
+def weighted_gram_oracle(a, mid_weights, row_weights):
+    """A diag(mid_weights) A^t diag(row_weights)^{-1} by the earlier
+    Fraction route: the weighted Gram matrix over every entry pair times
+    the inner dimension, then each column divided by its row weight; a
+    list of Fraction rows."""
+    from fractions import Fraction
+    m = a.rows
+    core = [[Fraction(0)] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            acc = Fraction(0)
+            for l in range(a.cols):
+                if a.data[i][l] and a.data[j][l]:
+                    acc += mid_weights[l] * (a.data[i][l] * a.data[j][l])
+            core[i][j] = core[j][i] = acc
+    return [[core[i][j] / row_weights[j] for j in range(m)] for i in range(m)]
+
+
+def rank_oracle(a):
+    """Rank of an integer matrix by Gaussian elimination over Fractions."""
+    from fractions import Fraction
+    rows = [[Fraction(v) for v in row] for row in a.data]
+    r = 0
+    for col in range(a.cols):
+        piv = next((i for i in range(r, a.rows) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(r + 1, a.rows):
+            f = rows[i][col] / rows[r][col]
+            if f:
+                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
+        r += 1
+    return r
 
 
 def column_hermite_oracle(a):

@@ -124,16 +124,21 @@ def test_failed_check_exits_1(capsys, monkeypatch, corpus_dir):
 
 
 def test_covolume_mismatch_exits_1(capsys, monkeypatch, corpus_dir):
-    # a wrong homology lift breaks the covolume cross-check, which raises in
-    # both covolume and rf: exit 1, one stderr line, nothing on stdout
+    # a wrong homology lift breaks the covolume row, whose right side is the
+    # projection route: a failing report, exit 1 and one stderr line; in rf
+    # it breaks the cross-check inside homology_covolume_squared, which
+    # raises: exit 1, one stderr line, nothing on stdout
     double_lift_column(monkeypatch)
-    for name, argv in (("sphere2", ("--theorem", "covolume", "--dim", "2")),
-                       ("rp2", ("--theorem", "covolume", "--dim", "0")),
-                       ("rp2", ("--theorem", "rf"))):
-        code, out, err = invoke(capsys, "verify", str(corpus_dir / f"{name}.json"), *argv)
-        assert code == 1 and out == ""
-        assert err.startswith("verification failed: homology covolume mismatch")
-        assert err.count("\n") == 1 and "Traceback" not in err
+    for name, d in (("sphere2", 2), ("rp2", 0)):
+        code, out, err = invoke(capsys, "verify", str(corpus_dir / f"{name}.json"),
+                                "--theorem", "covolume", "--dim", str(d))
+        rows = json.loads(out)["rows"]
+        assert code == 1 and [row["pass"] for row in rows] == [False]
+        assert err == f"verification failed: covolume d={d}: row k=0 lhs != rhs\n"
+    code, out, err = invoke(capsys, "verify", str(corpus_dir / "rp2.json"), "--theorem", "rf")
+    assert code == 1 and out == ""
+    assert err.startswith("verification failed: homology covolume mismatch")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_usage_error_exits_2(capsys):

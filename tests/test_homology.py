@@ -13,6 +13,7 @@ from cellmesh.homology import (covolume_squared, homology_covolume_squared,
                                saturate_columns, torsion_order)
 from cellmesh.intmat import (gram_det, invariant_factor_product, rank,
                              smith_normal_form, solve_bareiss)
+from cellmesh.spectra import verify_covolume
 from conftest import (column_hermite_oracle, double_lift_column, random_unimodular,
                       smith_kernel_oracle)
 
@@ -158,6 +159,20 @@ def test_covolume_rejects_wrong_lift(corpus, monkeypatch):
     for x, d in cases:
         with pytest.raises(AssertionError, match="homology covolume mismatch"):
             homology_covolume_squared(x, d)
+
+
+def test_verify_covolume_rejects_wrong_lift(corpus, monkeypatch):
+    # the covolume row takes its right side by projection, so a doubled lift
+    # column fails the report (4x the left side) instead of raising
+    cases = [(corpus[name], d) for name, d in
+             (("rp2", 0), ("k3", 1), ("sphere2", 2), ("delta5skel2", 2))]
+    for x, d in cases:
+        assert verify_covolume(x, d).passed
+    double_lift_column(monkeypatch)
+    for x, d in cases:
+        report = verify_covolume(x, d)
+        row = report.rows[0]
+        assert not report.passed and row["rhs"] == 4 * row["lhs"], (x.name, d)
 
 
 def test_relative_order_examples(corpus):

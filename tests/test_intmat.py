@@ -11,9 +11,10 @@ from cellmesh.intmat import (IntMatrix, IntPolynomial, RatMatrix, char_poly,
                              char_poly_rational, column_hermite, det_bareiss,
                              gram_det, invariant_factor_product, kernel_basis,
                              principal_minor_sum, rank, smith_normal_form,
-                             solve_bareiss)
+                             solve_bareiss, weighted_gram)
 from conftest import (column_hermite_oracle, random_int_matrix, random_unimodular,
-                      rational_solve_oracle, smith_kernel_oracle)
+                      rank_oracle, rational_solve_oracle, smith_kernel_oracle,
+                      weighted_gram_oracle)
 
 
 def naive_det(m):
@@ -189,6 +190,32 @@ def test_rank_examples():
     assert rank(IntMatrix.from_rows([[2, 4], [1, 2]])) == 1
 
 
+def test_rank_matches_fraction_oracle():
+    # seeded full-rank, rank-deficient (a product through r < min(m, n)
+    # columns) and rectangular matrices, and +-1 matrices up to 40 x 40,
+    # whose entries grew without bound before each step divided by the
+    # previous pivot
+    rng = random.Random(107)
+    cases = []
+    for _ in range(60):
+        m, n = rng.randint(0, 7), rng.randint(0, 7)
+        cases.append(random_int_matrix(rng, m, n, -4, 4))
+        r = rng.randint(0, min(m, n))
+        cases.append(random_int_matrix(rng, m, r, -3, 3).mul(
+            random_int_matrix(rng, r, n, -3, 3)))
+    for n in (20, 30, 40):
+        cases.append(IntMatrix.from_rows(
+            [[rng.choice((-1, 1)) for _ in range(n)] for _ in range(n)]))
+    cases.append(IntMatrix.from_rows(
+        [[rng.choice((-1, 1)) for _ in range(36)] for _ in range(24)]).transpose())
+    deficient = 0
+    for a in cases:
+        want = rank_oracle(a)
+        assert rank(a) == want, a
+        deficient += want < min(a.rows, a.cols)
+    assert deficient >= 20
+
+
 def test_gram_det_examples():
     assert gram_det(IntMatrix.identity(2)) == 1
     assert gram_det(IntMatrix.from_rows([[2, 0], [0, 1]])) == 4
@@ -201,6 +228,30 @@ def test_det_bareiss_vs_naive(rng):
         n = rng.randint(0, 5)
         a = random_int_matrix(rng, n, n)
         assert det_bareiss([row[:] for row in a.data]) == naive_det(a)
+
+
+def test_weighted_gram_matches_fraction_oracle():
+    # seeded integer matrices, zero columns and empty shapes included, under
+    # rational weights, unit Fractions and unit ints
+    rng = random.Random(109)
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1)] + [
+        (rng.randint(1, 6), rng.randint(1, 8)) for _ in range(80)]
+    for m, n in shapes:
+        a = random_int_matrix(rng, m, n, -3, 3)
+        if n and rng.random() < 0.5:
+            dead = rng.randrange(n)
+            a = IntMatrix(m, n, [[0 if j == dead else v for j, v in enumerate(row)]
+                                 for row in a.data])
+        rational = ([Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)],
+                    [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(m)])
+        for mid, low in (rational, ([Fraction(1)] * n, [Fraction(1)] * m),
+                         ([1] * n, [1] * m)):
+            got = weighted_gram(a, mid, low)
+            assert isinstance(got, RatMatrix) and (got.rows, got.cols) == (m, m)
+            assert got.data == weighted_gram_oracle(a, mid, low), (a, mid, low)
+    a = random_int_matrix(rng, 4, 6)
+    assert weighted_gram(a, [1] * 6, [1] * 4) == RatMatrix.from_rows(
+        a.mul(a.transpose()).data)
 
 
 # --- characteristic polynomials ---------------------------------------------

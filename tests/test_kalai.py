@@ -5,10 +5,10 @@ from math import comb
 
 import pytest
 
-from cellmesh.complexes import ComplexFormatError, standard_simplex
-from cellmesh.intmat import IntMatrix, char_poly
-from cellmesh.kalai import (phi_basis, predicted_spectrum, reduced_incidence,
-                            verify_kalai)
+from cellmesh.complexes import ComplexFormatError, boundary_matrix, standard_simplex
+from cellmesh.intmat import IntMatrix, RatMatrix, char_poly
+from cellmesh.kalai import (build_kalai_matrix, phi_basis, predicted_spectrum,
+                            reduced_incidence, verify_kalai)
 from cellmesh.kalai import _faces_without_first_vertex
 from conftest import perturb_kalai_matrix
 
@@ -128,6 +128,27 @@ def test_verify_kalai_weighted():
         assert verify_kalai(4, 1, kind, [1, 1, 1, 1]).passed
 
 
+def test_unweighted_matrices_are_the_integer_grams():
+    # unit weights give inc inc^t, bd bd^t on the simplex on n-1 vertices
+    # (the zero matrix at k = n-1, where it has no k-faces) and phi^t phi
+    for n in range(2, 8):
+        smaller = standard_simplex(n - 1)
+        for k in range(1, n):
+            inc = reduced_incidence(n, k)
+            phi = phi_basis(n, k)
+            if k <= smaller.dimension:
+                bd = boundary_matrix(smaller, k)
+                lap = bd.mul(bd.transpose())
+            else:
+                lap = IntMatrix.zeros(comb(n - 1, k), comb(n - 1, k))
+            for kind, want in (("incidence", inc.mul(inc.transpose())),
+                               ("laplacian", lap),
+                               ("mesh", phi.transpose().mul(phi))):
+                got = build_kalai_matrix(n, k, kind)
+                assert isinstance(got, RatMatrix), (n, k, kind)
+                assert got == RatMatrix(want.rows, want.cols, want.data), (n, k, kind)
+
+
 def test_verify_kalai_guard():
     with pytest.raises(ComplexFormatError, match="desk-scale"):
         verify_kalai(10, 2, "incidence")
@@ -152,7 +173,7 @@ def test_mesh_det_ties_to_forest_sum(corpus):
 
 def test_verify_kalai_rejects_perturbed_matrix(monkeypatch):
     # one entry moved by 1/7 breaks the annihilating polynomial; the report
-    # fails instead of raising, for integer and rational (weighted) matrices
+    # fails instead of raising, under unit and rational weights
     perturb_kalai_matrix(monkeypatch)
     for n in (2, 4, 5):
         for k in range(1, n):
