@@ -29,8 +29,8 @@ from .spectra import (MeshMatrix, VerificationReport, combinatorial_laplacian,
                       mesh_matrix_boundaries, mesh_matrix_cycles, verify_covolume,
                       verify_geometric_theorems, verify_kirchhoff_lyons,
                       verify_theorem1, verify_theorem2, weighted_laplacian)
-from .torsion import (TorsionReport, reduced_laplacian_det, rf_combinatorial,
-                      rf_laplacian, verify_rf_identity)
+from .torsion import (reduced_laplacian_det, rf_combinatorial, rf_laplacian,
+                      verify_rf_identity)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -10,10 +10,9 @@ byte-identical standard output.
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from .complexes import (CellSubset, ComplexFormatError, WeightAssignment,
-                        encode_number, load_complex, validate)
+from .complexes import (CellSubset, ComplexFormatError, WeightAssignment, encode_json,
+                        encode_number, load_complex, parse_weight, validate)
 from .forests import (BoundaryWeightContext, CycleWeightContext, boundary_weight,
                       cycle_weight, enumerate_forests)
 from .homology import (covolume_squared, homology_groups, integral_boundary_basis,
@@ -26,14 +25,6 @@ from .spectra import (combinatorial_laplacian, default_processes,
                       verify_geometric_theorems, verify_kirchhoff_lyons,
                       verify_theorem1, verify_theorem2, weighted_laplacian)
 from .torsion import verify_rf_identity
-
-
-def _matrix_strings(m):
-    return [[encode_number(Fraction(x)) for x in row] for row in m.data]
-
-
-def _poly_strings(coeffs):
-    return [encode_number(Fraction(c)) for c in coeffs]
 
 
 def _emit(doc, mode):
@@ -105,7 +96,7 @@ def cmd_basis(args):
         "kind": basis.kind,
         "rank": basis.basis.cols,
         "covolume_squared": encode_number(covolume_squared(basis)),
-        "columns": _matrix_strings(basis.basis),
+        "columns": encode_json(basis.basis.data),
     }
     _emit(doc, args.output)
     return 0
@@ -134,10 +125,10 @@ def cmd_mesh(args):
         "dim": d,
         "which": args.which,
         "basis": provenance,
-        "matrix": _matrix_strings(matrix),
+        "matrix": encode_json(matrix.data),
     }
     if args.charpoly:
-        doc["charpoly"] = _poly_strings(char_poly_rational(matrix))
+        doc["charpoly"] = encode_json(char_poly_rational(matrix))
     _emit(doc, args.output)
     return 0
 
@@ -152,10 +143,10 @@ def cmd_laplacian(args):
         "complex": x.name,
         "dim": args.dim,
         "weighted": bool(args.use_weights),
-        "matrix": _matrix_strings(mesh.matrix),
+        "matrix": encode_json(mesh.matrix.data),
     }
     if args.charpoly:
-        doc["charpoly"] = _poly_strings(char_poly_rational(mesh.matrix))
+        doc["charpoly"] = encode_json(char_poly_rational(mesh.matrix))
     _emit(doc, args.output)
     return 0
 
@@ -238,9 +229,8 @@ def cmd_verify(args):
 def cmd_kalai(args):
     weights = None
     if args.weights:
-        weights = []
-        for tok in args.weights.split(","):
-            weights.append(Fraction(tok) if "/" in tok else Fraction(int(tok)))
+        weights = [parse_weight(tok, f"a{i}")
+                   for i, tok in enumerate(args.weights.split(","), 1)]
     report = verify_kalai(args.n, args.k, args.kind, weights)
     return _emit_report(report.to_json_dict(), args.output)
 

@@ -29,6 +29,20 @@ def encode_number(v):
     return v
 
 
+def encode_json(value, key=None):
+    """`value` with encode_number applied to every number in its lists and
+    dicts, except under the keys k, dim, certificates, side and pass, whose
+    values stay raw.  The one encoder of every report and of the CLI's
+    matrices and polynomials."""
+    if isinstance(value, dict):
+        return {k: encode_json(v, k) for k, v in value.items()}
+    if isinstance(value, list):
+        return [encode_json(v, key) for v in value]
+    if key in ("k", "dim", "certificates", "side", "pass"):
+        return value
+    return encode_number(value)
+
+
 class Cell:
     """An oriented cell: an id plus its boundary as (face id, coefficient)."""
 
@@ -286,7 +300,10 @@ _TOP_KEYS = {"name", "dimension", "cells", "weights"}
 _CELL_KEYS = {"id", "boundary"}
 
 
-def _parse_weight(raw, cid):
+def parse_weight(raw, cid):
+    """A weight from a file or the command line, an int or a decimal string
+    "p" or "p/q", as a Fraction; anything else, or a zero denominator, is a
+    ComplexFormatError that names `cid`."""
     if isinstance(raw, int):
         return Fraction(raw)
     if isinstance(raw, str):
@@ -369,7 +386,7 @@ def parse_complex(text):
         if not isinstance(doc["weights"], dict):
             raise ComplexFormatError("weights must be an object")
         for cid, raw in doc["weights"].items():
-            weights[cid] = _parse_weight(raw, cid)
+            weights[cid] = parse_weight(raw, cid)
     return CellComplex(name, dimension, cells, weights=weights, check=True)
 
 

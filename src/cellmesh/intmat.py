@@ -142,44 +142,14 @@ class IntPolynomial:
             coeffs = [0]
         self.coeffs = tuple(coeffs)
 
-    def degree(self):
-        return len(self.coeffs) - 1
-
     def coefficient(self, k):
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
-    def __call__(self, t):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
 
     def __eq__(self, other):
         return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
 
     def __repr__(self):
         return f"IntPolynomial({list(self.coeffs)})"
-
-    def __str__(self):
-        if self.coeffs == (0,):
-            return "0"
-        terms = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            if k == 0:
-                terms.append(f"{c:+d}")
-            else:
-                mono = "t" if k == 1 else f"t^{k}"
-                if c == 1:
-                    terms.append(f"+{mono}")
-                elif c == -1:
-                    terms.append(f"-{mono}")
-                else:
-                    terms.append(f"{c:+d}*{mono}")
-        s = " ".join(terms)
-        return s[1:] if s.startswith("+") else s
 
 
 class SmithDecomposition:

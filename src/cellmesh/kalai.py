@@ -10,16 +10,20 @@ free similarity representative A W Aᵀ V⁻¹ that intmat.weighted_gram builds,
 so everything stays rational.
 """
 
-import time
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, prod
 
 from .complexes import (ComplexFormatError, boundary_matrix, boundary_matrix_above,
                         standard_simplex)
 from .intmat import IntMatrix, clear_denominators, det_bareiss, weighted_gram
-from .spectra import VerificationReport
+from .spectra import _report
 
 MAX_SIMPLEX_VERTICES = 9
+
+# each Kalai matrix of n vertices reads the same simplex and, through its
+# boundary cache, the same boundary matrices; none of them is mutated
+_simplex = lru_cache(maxsize=MAX_SIMPLEX_VERTICES)(standard_simplex)
 
 
 class SpectrumSummary:
@@ -68,7 +72,7 @@ def reduced_incidence(n, k):
     """Boundary of k-faces of the (n-1)-simplex restricted to (k-1)-rows
     avoiding the first vertex: C(n-1,k) x C(n,k+1)."""
     _check_params(n, k)
-    return _reduced_incidence(standard_simplex(n), k)
+    return _reduced_incidence(_simplex(n), k)
 
 
 def _reduced_incidence(x, k):
@@ -84,7 +88,7 @@ def phi_basis(n, k):
     rows gives the identity, so the columns form an integral basis.
     """
     _check_params(n, k)
-    return _phi_basis(standard_simplex(n), k)
+    return _phi_basis(_simplex(n), k)
 
 
 def _phi_basis(x, k):
@@ -147,11 +151,11 @@ def build_kalai_matrix(n, k, kind, weights=None):
     ws = _parse_weights(n, weights)
     if kind == "laplacian":
         # the zero matrix at k = n-1, where the smaller simplex has no k-faces
-        x = standard_simplex(n - 1)
+        x = _simplex(n - 1)
         return weighted_gram(boundary_matrix_above(x, k - 1),
                              _face_weight_diagonal(x, k, ws),
                              _face_weight_diagonal(x, k - 1, ws))
-    x = standard_simplex(n)
+    x = _simplex(n)
     low = _face_weight_diagonal(x, k - 1, ws)
     sub_low = [low[p] for p in _faces_without_first_vertex(x, k - 1)]
     if kind == "incidence":
@@ -170,20 +174,15 @@ def verify_kalai(n, k, kind, weights=None):
     determinant against the multiplicity table, and the binomial
     bookkeeping C(n-2,k-1) + C(n-2,k) = C(n-1,k).
     """
-    start = time.monotonic()
     if n > MAX_SIMPLEX_VERTICES:
         raise ComplexFormatError(
             f"desk-scale guard: n = {n} exceeds {MAX_SIMPLEX_VERTICES}")
     spectrum = predicted_spectrum(n, k, kind, weights)
     matrix = build_kalai_matrix(n, k, kind, weights)
     dim = matrix.rows
-    rows = []
-    passed = True
-
-    mult_ok = spectrum.dimension() == dim == comb(n - 1, k)
-    passed &= mult_ok
-    rows.append({"k": k, "check": "multiplicities", "lhs": spectrum.dimension(),
-                 "rhs": comb(n - 1, k), "pass": mult_ok})
+    rows = [{"k": k, "check": "multiplicities", "lhs": spectrum.dimension(),
+             "rhs": comb(n - 1, k),
+             "pass": spectrum.dimension() == dim == comb(n - 1, k)}]
 
     # one common denominator D for the matrix and the eigenvalues: every
     # shift D*M - D*lambda*I is integral, and their product vanishes exactly
@@ -200,23 +199,15 @@ def verify_kalai(n, k, kind, weights=None):
     for shifted in shifts[1:]:
         ann = ann.mul(shifted)
     ann_ok = ann.is_zero()
-    passed &= ann_ok
     rows.append({"k": k, "check": "annihilating_polynomial",
                  "lhs": "zero-matrix" if ann_ok else "nonzero",
                  "rhs": "zero-matrix", "pass": ann_ok})
 
     tr = Fraction(sum(work[i][i] for i in range(dim)), scale)
-    tr_ok = tr == spectrum.trace()
-    passed &= tr_ok
     rows.append({"k": k, "check": "trace", "lhs": tr, "rhs": spectrum.trace(),
-                 "pass": tr_ok})
+                 "pass": tr == spectrum.trace()})
 
     det = Fraction(det_bareiss([row[:] for row in work]), scale ** dim)
-    det_ok = det == spectrum.determinant()
-    passed &= det_ok
     rows.append({"k": k, "check": "determinant", "lhs": det,
-                 "rhs": spectrum.determinant(), "pass": det_ok})
-
-    elapsed = (time.monotonic() - start) * 1000.0
-    report = VerificationReport(f"kalai-{kind}", k, rows, passed, elapsed)
-    return report
+                 "rhs": spectrum.determinant(), "pass": det == spectrum.determinant()})
+    return _report(f"kalai-{kind}", k, rows)

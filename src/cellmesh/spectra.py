@@ -35,14 +35,13 @@ with no leaf.
 """
 
 import os
-import time
 from fractions import Fraction
 from functools import partial
 from math import comb, gcd
 from operator import mul
 
 from .complexes import (CellSubset, ComplexFormatError, boundary_matrix,
-                        boundary_matrix_above, encode_number)
+                        boundary_matrix_above, encode_json)
 from .forests import (BoundaryWeightContext, CycleWeightContext, _column_vectors,
                       greedy_basis, pair_weight)
 from .homology import (covolume_squared, integral_boundary_basis, integral_cycle_basis,
@@ -76,40 +75,30 @@ class MeshMatrix:
 
 
 class VerificationReport:
-    """Per-coefficient comparison of both sides of a theorem.
+    """Both sides of an identity, compared, and whether they agree.
 
-    The measured time stays on `elapsed_ms`; the JSON form nulls it, so
-    identical runs print identical reports.
+    `fields` are the report's own entries in JSON order, raw ints and
+    Fractions included, and each is also an attribute: `theorem`, `dim` and
+    `rows` for a theorem, `complex`, `factors`, `lhs`, `rhs` and `skeleta`
+    for the torsion identity.  The JSON form adds `pass`, a null
+    `elapsed_ms`, and `notes` unless they are None.
     """
 
-    def __init__(self, theorem, dim, rows, passed, elapsed_ms, notes=()):
-        self.theorem = theorem
-        self.dim = dim
-        self.rows = rows
+    def __init__(self, fields, passed, notes=None):
+        vars(self).update(fields)
+        self.fields = tuple(fields)
         self.passed = passed
-        self.elapsed_ms = elapsed_ms
-        self.notes = list(notes)
+        self.notes = notes
 
     def to_json_dict(self):
-        rows = []
-        for row in self.rows:
-            out = {}
-            for key, val in row.items():
-                out[key] = (encode_number(val)
-                            if key not in ("k", "certificates", "pass", "side") else val)
-            rows.append(out)
-        return {
-            "theorem": self.theorem,
-            "dim": self.dim,
-            "rows": rows,
-            "pass": self.passed,
-            "elapsed_ms": None,
-            "notes": self.notes,
-        }
+        doc = {key: getattr(self, key) for key in self.fields}
+        doc.update({"pass": self.passed, "elapsed_ms": None})
+        if self.notes is not None:
+            doc["notes"] = self.notes
+        return encode_json(doc)
 
     def __repr__(self):
-        return (f"VerificationReport({self.theorem}, d={self.dim}, "
-                f"pass={self.passed}, {len(self.rows)} rows)")
+        return f"VerificationReport({', '.join(self.fields)}, pass={self.passed})"
 
 
 # ---------------------------------------------------------------------------
@@ -448,11 +437,10 @@ def _rows(ks, lhs, rhs, side=None):
     return rows
 
 
-def _report(theorem, d, rows, start, notes=()):
-    """The report on `rows`, passing when every row passes, timed from the
-    time.monotonic() reading `start`."""
-    return VerificationReport(theorem, d, rows, all(row["pass"] for row in rows),
-                              (time.monotonic() - start) * 1000.0, notes)
+def _report(theorem, d, rows, notes=()):
+    """The report on `rows`, passing when every row passes."""
+    return VerificationReport({"theorem": theorem, "dim": d, "rows": rows},
+                              all(row["pass"] for row in rows), list(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +487,6 @@ def verify_theorem1(x, d, basis=None, processes=None):
     comes from a second cokernel order and the twins are a third rank
     route.
     """
-    start = time.monotonic()
     if processes is None:
         processes = default_processes()
     if basis is None:
@@ -515,7 +502,7 @@ def verify_theorem1(x, d, basis=None, processes=None):
     rhs = {z - size: acc for size, acc in sums.items()}
     rhs[z] = [1, 0]  # leading coefficient: empty-product convention
     rows = _rows(range(z, -1, -1), lambda k: (-1) ** (z - k) * poly.coefficient(k), rhs)
-    return _report("trent", d, rows, start)
+    return _report("trent", d, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +526,6 @@ def verify_theorem2(x, d, basis=None, processes=None):
     The coforests are the independent row subsets of the boundary matrix;
     every one must pass _boundary_leaf_check.
     """
-    start = time.monotonic()
     if processes is None:
         processes = default_processes()
     if basis is None:
@@ -553,7 +539,7 @@ def verify_theorem2(x, d, basis=None, processes=None):
     rhs = {b - size: acc for size, acc in sums.items()}
     rhs[b] = [1, 0]
     rows = _rows(range(b, -1, -1), lambda k: (-1) ** (b - k) * poly.coefficient(k), rhs)
-    return _report("boundary", d, rows, start)
+    return _report("boundary", d, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +600,6 @@ def verify_kirchhoff_lyons(x, d, processes=None):
     against the pair sum over forests of size m and spanning coforests,
     taken by _pair_sums on the columns of the boundary matrix.
     """
-    start = time.monotonic()
     if processes is None:
         processes = default_processes()
     lap = combinatorial_laplacian(x, d)
@@ -628,7 +613,7 @@ def verify_kirchhoff_lyons(x, d, processes=None):
     if rows:
         rows[-1]["product_of_nonzero_eigenvalues"] = rows[-1]["lhs"]
     notes = ["inner coforest sums collapsed via Cauchy-Binet"] if collapsed else []
-    return _report("kirchhoff", d, rows, start, notes)
+    return _report("kirchhoff", d, rows, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +650,6 @@ def verify_geometric_theorems(x, d, v0=None, v1=None, processes=None):
     Boundary side: weights are squared relative orders of (d+1, d) pairs,
     taken by _pair_sums on the columns of V1.
     """
-    start = time.monotonic()
     if processes is None:
         processes = default_processes()
     if v0 is None:
@@ -741,7 +725,7 @@ def verify_geometric_theorems(x, d, v0=None, v1=None, processes=None):
                   "boundaries")
     if collapsed:
         notes.append("boundary inner coforest sums collapsed via Cauchy-Binet")
-    return _report("geometric", d, rows, start, notes)
+    return _report("geometric", d, rows, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -752,12 +736,11 @@ def verify_covolume(x, d):
     """Check covol^2(cycles) * t_d^2 = covol^2(boundaries) * the homology
     covolume squared, the right side taken by projection: lift_gram, the
     Gram determinant of the boundary basis and the homology lift."""
-    start = time.monotonic()
     z = integral_cycle_basis(x, d)
     b = integral_boundary_basis(x, d)
     t = torsion_order(x, d)
     lhs = covolume_squared(z) * t * t
     rows = _rows([0], lambda k: lhs, {0: [lift_gram(z, b), 0]})
-    return _report("covolume", d, rows, start,
+    return _report("covolume", d, rows,
                    ["lhs = covol^2(cycles) * torsion^2; "
                     "rhs = covol^2(boundaries) * homology covol^2"])

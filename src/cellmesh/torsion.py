@@ -7,51 +7,12 @@ covolumes.  Both sides are assembled here independently and compared
 exactly, for the complex and for each of its skeleta.
 """
 
-import time
 from fractions import Fraction
 
-from .complexes import ComplexFormatError, boundary_matrix_above, encode_number, skeleton
+from .complexes import ComplexFormatError, boundary_matrix_above, skeleton
 from .homology import homology_covolume_squared, torsion_order
 from .intmat import char_poly, rank
-
-
-class TorsionReport:
-    """Both sides of the torsion identity, with per-dimension factors.
-
-    The measured time stays on `elapsed_ms`; the JSON form nulls it.
-    """
-
-    def __init__(self, name, factors, lhs, rhs, skeleta, passed, elapsed_ms):
-        self.name = name
-        self.factors = factors  # list of dicts per dimension
-        self.lhs = lhs
-        self.rhs = rhs
-        self.skeleta = skeleta  # list of (dim, lhs, rhs, pass)
-        self.passed = passed
-        self.elapsed_ms = elapsed_ms
-
-    def to_json_dict(self):
-        def frac(v):
-            return encode_number(Fraction(v))
-
-        return {
-            "complex": self.name,
-            "factors": [
-                {"dim": f["dim"], "torsion_order": frac(f["torsion_order"]),
-                 "reduced_laplacian_det": frac(f["reduced_laplacian_det"]),
-                 "homology_covolume_sq": frac(f["homology_covolume_sq"])}
-                for f in self.factors
-            ],
-            "lhs": frac(self.lhs),
-            "rhs": frac(self.rhs),
-            "skeleta": [{"dim": d, "lhs": frac(a), "rhs": frac(b), "pass": ok}
-                        for d, a, b, ok in self.skeleta],
-            "pass": self.passed,
-            "elapsed_ms": None,
-        }
-
-    def __repr__(self):
-        return f"TorsionReport({self.name}, pass={self.passed})"
+from .spectra import VerificationReport
 
 
 def reduced_laplacian_det(x, i):
@@ -102,9 +63,11 @@ def verify_rf_identity(x):
     """Check the torsion identity for the complex and all its skeleta.
 
     The factors of x give both sides for x and for its top skeleton row; each
-    lower skeleton is computed from its own cells.
+    lower skeleton is computed from its own cells.  The report's fields are
+    `complex`, `factors` (one per dimension), `lhs`, `rhs` and `skeleta`
+    (one row per skeleton dimension), and it passes when every skeleton row
+    does.
     """
-    start = time.monotonic()
     factors = []
     for i in range(x.dimension + 1):
         factors.append({
@@ -116,15 +79,13 @@ def verify_rf_identity(x):
     lhs = _alternating_product([f["torsion_order"] ** 2 for f in factors])
     rhs = _alternating_product(
         [f["reduced_laplacian_det"] * f["homology_covolume_sq"] for f in factors])
-    passed = lhs == rhs
     skeleta = []
     for d in range(x.dimension):
         sk = skeleton(x, d)
         a = rf_combinatorial(sk)
         b = rf_laplacian(sk)
-        ok = a == b
-        passed = passed and ok
-        skeleta.append((d, a, b, ok))
-    skeleta.append((x.dimension, lhs, rhs, lhs == rhs))
-    elapsed = (time.monotonic() - start) * 1000.0
-    return TorsionReport(x.name, factors, lhs, rhs, skeleta, passed, elapsed)
+        skeleta.append({"dim": d, "lhs": a, "rhs": b, "pass": a == b})
+    skeleta.append({"dim": x.dimension, "lhs": lhs, "rhs": rhs, "pass": lhs == rhs})
+    return VerificationReport(
+        {"complex": x.name, "factors": factors, "lhs": lhs, "rhs": rhs, "skeleta": skeleta},
+        all(row["pass"] for row in skeleta))

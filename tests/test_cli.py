@@ -145,6 +145,13 @@ def test_usage_error_exits_2(capsys):
     assert run(["verify"]) == 2
     assert run(["bogus-subcommand"]) == 2
     assert run(["verify", "x.json", "--theorem", "trent"]) == 2  # missing --dim
+    # a bad Kalai weight is bad input, a zero denominator included
+    capsys.readouterr()
+    for weights in ("1/0,1,1", "a,1,1", "1,,1"):
+        code, out, err = invoke(capsys, "kalai", "--n", "3", "--k", "1", "--kind", "mesh",
+                                "--weights", weights)
+        assert code == 2 and out == "", weights
+        assert err.startswith("error: bad weight") and err.count("\n") == 1, err
 
 
 def test_homology_subcommand(capsys, corpus_dir):

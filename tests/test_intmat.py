@@ -475,6 +475,3 @@ def test_int_polynomial_normalization():
     assert IntPolynomial([1, 2, 0, 0]).coeffs == (1, 2)
     assert IntPolynomial([0, 0]).coeffs == (0,)
     assert IntPolynomial([]).coeffs == (0,)
-    p = IntPolynomial([-6, 11, -6, 1])
-    assert p(1) == 0 and p(2) == 0 and p(3) == 0 and p(0) == -6
-    assert str(IntPolynomial([1, -2, 1])) == "t^2 -2*t +1"

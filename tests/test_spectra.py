@@ -16,6 +16,7 @@ from cellmesh.homology import (LatticeBasis, integral_boundary_basis,
 from cellmesh.intmat import (IntMatrix, char_poly, char_poly_rational,
                              det_bareiss, gram_det, invariant_factor_product,
                              principal_minor_sum)
+from cellmesh.kalai import verify_kalai
 from cellmesh.spectra import (combinatorial_laplacian, geometric_boundary_basis,
                               geometric_cycle_basis, gram_state_push,
                               greedy_spanning_forest, independent_subsets,
@@ -23,6 +24,7 @@ from cellmesh.spectra import (combinatorial_laplacian, geometric_boundary_basis,
                               verify_geometric_theorems, verify_kirchhoff_lyons,
                               verify_theorem1, verify_theorem2,
                               weighted_laplacian)
+from cellmesh.torsion import verify_rf_identity
 from conftest import (dependent_twin, double_t_x, double_torsion, double_v_order,
                       lose_one_coforest, perturb_reduced_table, quadruple_pair_weight,
                       random_unimodular, scale_unit_row)
@@ -617,11 +619,37 @@ def test_independent_subsets_rank_routes_must_agree(monkeypatch):
 
 
 def test_report_serialization_strings(corpus):
-    report = verify_theorem1(corpus["k4"], 1)
-    doc = report.to_json_dict()
-    assert doc["elapsed_ms"] is None
-    assert doc["rows"][0]["lhs"] == "1"
-    assert all(isinstance(r["lhs"], str) for r in doc["rows"])
+    # one encoder for every report: under k, dim, certificates, side and
+    # pass the values stay raw, and every other number is a decimal string;
+    # the report itself keeps the raw ints and Fractions
+    def check(value, key=None):
+        if isinstance(value, dict):
+            for k, v in value.items():
+                check(v, k)
+        elif isinstance(value, list):
+            for v in value:
+                check(v, key)
+        elif key in ("k", "dim", "certificates", "side", "pass"):
+            assert not isinstance(value, str), (key, value)
+        else:
+            assert value is None or isinstance(value, str), (key, value)
+
+    trent = verify_theorem1(corpus["k4"], 1)
+    rf = verify_rf_identity(corpus["rp2"])
+    kalai = verify_kalai(4, 1, "mesh", [Fraction(1, 2), 3, Fraction(2, 3), 5])
+    for report in (trent, rf, kalai):
+        doc = report.to_json_dict()
+        check(doc)
+        assert doc["elapsed_ms"] is None
+    assert trent.to_json_dict()["rows"][0]["lhs"] == "1" and trent.rows[0]["lhs"] == 1
+    assert list(rf.to_json_dict()) == ["complex", "factors", "lhs", "rhs", "skeleta",
+                                       "pass", "elapsed_ms"]
+    assert rf.to_json_dict()["lhs"] == "1/4"
+    assert rf.lhs == rf.rhs == Fraction(1, 4) and isinstance(rf.lhs, Fraction)
+    assert list(kalai.to_json_dict())[-3:] == ["pass", "elapsed_ms", "notes"]
+    det = next(row for row in kalai.rows if row["check"] == "determinant")
+    assert isinstance(det["lhs"], Fraction) and det["lhs"] == det["rhs"]
+    assert isinstance(kalai.rows[0]["lhs"], int)
 
 
 def test_gram_state_push_rejects_dependent():
