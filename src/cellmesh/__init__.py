@@ -13,8 +13,8 @@ from .complexes import (Cell, CellComplex, CellSubset, ComplexFormatError,
                         WeightAssignment, boundary_matrix, load_complex,
                         parse_complex, serialize_complex, skeleton,
                         standard_simplex, subcomplex, validate)
-from .forests import (ForestCertificate, boundary_weight, classify,
-                      cycle_weight, enumerate_forests, kirchhoff_pair_weight)
+from .forests import (ForestCertificate, boundary_weight, cycle_weight,
+                      enumerate_forests)
 from .homology import (HomologySummary, LatticeBasis, covolume_squared,
                        homology_covolume_squared, homology_groups,
                        integral_boundary_basis, integral_cycle_basis,

@@ -12,13 +12,12 @@ once too few independent candidates are left to reach the size asked for.
 
 from fractions import Fraction
 from math import gcd
-from operator import mul
 
 from .complexes import CellSubset, ComplexFormatError, boundary_matrix
 from .homology import integral_boundary_basis, integral_cycle_basis
 from .intmat import (_apply_pivot_ops, _column_hermite_reduce, _pivot_ops,
                      det_bareiss, gram_det, gram_det_of, invariant_factor_product,
-                     kernel_basis, kernel_columns, rank)
+                     kernel_basis, rank)
 
 KINDS = ("spanning_forest", "k_augmented", "forest_of_size",
          "spanning_coforest", "k_reduced_coforest")
@@ -48,24 +47,37 @@ class ForestCertificate:
 # ---------------------------------------------------------------------------
 
 def greedy_basis(vectors, order, target):
-    """Positions, in `order`, of the vectors a greedy pass keeps: each one
-    that raises the rank, until the rank reaches `target`.
+    """(picked, cok): the positions, in `order`, of the vectors a greedy
+    pass keeps, each one that raises the rank until the rank reaches
+    `target`, and the cokernel order of the kept vectors, the product of
+    their tails' gcds (|det| when `target` vectors of length `target` are
+    kept).
 
     A vector raises the rank when its tail, after the column operations
     that clear the kept vectors (_pivot_ops, as the enumeration engine
-    runs them), is nonzero."""
+    runs them), is nonzero.  The operations are applied as
+    _apply_pivot_ops does, but in place on one copy of the vector."""
     cleared = []
     picked = []
+    cok = 1
     for i in order:
         if len(picked) == target:
             break
+        if not any(vectors[i]):
+            continue
         tail = list(vectors[i])
         for p, ops in cleared:
-            tail = _apply_pivot_ops(tail, p, ops)
+            sp = tail[p]
+            for c, x, y, u, v in ops:
+                sc = tail[c]
+                sp, tail[c] = x * sp + y * sc, u * sp + v * sc
+            del tail[p]
         if any(tail):
-            cleared.append(_pivot_ops(tail))
             picked.append(i)
-    return picked
+            cok *= gcd(*tail)
+            if len(picked) < target:
+                cleared.append(_pivot_ops(tail))
+    return picked, cok
 
 
 def _column_vectors(mat):
@@ -77,39 +89,8 @@ def _row_vectors(mat):
 
 
 # ---------------------------------------------------------------------------
-# Classification and enumeration.
+# Enumeration.
 # ---------------------------------------------------------------------------
-
-def classify(x, d, subset):
-    """All applicable kinds (with parameters) of a subset of d-cells.
-
-    A spanning forest is also reported as 0-augmented, a spanning coforest
-    as 0-reduced.
-    """
-    if subset.dimension != d:
-        raise ComplexFormatError(
-            f"subset at dimension {subset.dimension}, expected {d}")
-    pos = x.positions(d, subset.members)
-    bd = boundary_matrix(x, d)
-    b_low = rank(bd)
-    sub_rank = rank(bd.submatrix(range(bd.rows), pos))
-    kinds = set()
-    m = len(pos)
-    if sub_rank == m and m <= b_low:
-        kinds.add(("forest_of_size", m))
-        if m == b_low:
-            kinds.add(("spanning_forest", None))
-    if sub_rank == b_low and m >= b_low:
-        kinds.add(("k_augmented", m - b_low))
-    bbasis = integral_boundary_basis(x, d).basis
-    b_up = bbasis.cols
-    row_rank = rank(bbasis.submatrix(pos, range(b_up)))
-    if row_rank == m and m <= b_up:
-        kinds.add(("k_reduced_coforest", b_up - m))
-        if m == b_up:
-            kinds.add(("spanning_coforest", None))
-    return kinds
-
 
 def enumerate_forests(x, d, kind, param=None):
     """Stream every qualifying subset exactly once, lexicographically.
@@ -304,7 +285,11 @@ class BoundaryWeightContext:
     """Cached data for boundary-mesh weights at one dimension.
 
     v(V,X) = |det A[V]| depends only on the spanning coforest V, so it is
-    memoized per sorted V (v_order); a pool worker fills its own copy.
+    memoized per sorted V (v_order).  The tails (see `tails`) of the last
+    coforest weighed are kept as a path stack of at most b_d + 1 levels;
+    the next one, in the engine's lexicographic order, is usually one push
+    away.  The stack is only a cache, so the results do not depend on the
+    order of calls, and a pool worker fills its own copy.
     """
 
     def __init__(self, x, d, basis):
@@ -315,6 +300,9 @@ class BoundaryWeightContext:
         self.b_up = basis.basis.cols
         self.rows = _row_vectors(basis.basis)  # n_d rows of length b_d
         self._v = {}
+        units = [[int(i == j) for j in range(self.b_up)] for i in range(self.b_up)]
+        self._path = []  # the rows pushed, in order
+        self._levels = [(1, [list(row) for row in self.rows] + units)]  # (cok, tails)
 
     def v_order(self, v_positions):
         """v(V,X) = |det A[V]| for the sorted positions of V, memoized."""
@@ -324,50 +312,82 @@ class BoundaryWeightContext:
             v = self._v[key] = abs(det_bareiss([list(self.rows[p]) for p in key]))
         return v
 
-    def weigh(self, positions, gram):
-        """Theorem 2's identity on the k-reduced spanning coforest W with
-        these sorted row positions and Gram determinant `gram`; returns the
-        weight parts u, v, f and gram_factor, or raises AssertionError.
+    def tails(self, positions):
+        """(cokernel order, tails) of the rows `positions` of the boundary
+        basis A, pushed in order by the engine's unimodular column
+        operations (_pivot_ops): each push clears the pushed row's tail to
+        one pivot column, applies the operations to the n_d rows of A and
+        the b_d unit rows, and drops the pivot column.  As the transform U
+        is unimodular, the unit rows' tails are then the rows of B'', a
+        saturated basis of ker A[W]; a row's tail is that row times B''; and
+        the product of the pivot gcds is the cokernel order of W's rows.
+        A zero pushed tail, dependent rows, raises AssertionError."""
+        path, levels = self._path, self._levels
+        i = 0
+        while i < len(path) and i < len(positions) and path[i] == positions[i]:
+            i += 1
+        del path[i:], levels[i + 1:]
+        for p in positions[i:]:
+            cok, tails = levels[-1]
+            pivot = tails[p]
+            if not any(pivot):
+                raise AssertionError(f"rows {list(positions)} are dependent")
+            q, ops = _pivot_ops(pivot)
+            # a zero tail (a row pushed already, or one dependent on them)
+            # stays zero and only loses the pivot column
+            levels.append((cok * gcd(*pivot), [_apply_pivot_ops(t, q, ops) if any(t)
+                                               else t[1:] for t in tails]))
+            path.append(p)
+        return levels[-1]
 
-        Route (i) is `gram`, the Gram determinant of W's rows, which the
-        caller has (theorem 2's leaf check passes the engine's).  Route (ii)
-        is (v(V,X)/u(W,V))^2 det(B'^t B') for a greedily chosen containing
-        spanning coforest V, where u and v are the relative orders of
-        Theorem-2 type and B' is a saturated kernel basis of W's rows; it is
-        computed here and must equal route (i).  B' has rank b_d - |W|
-        exactly when W's rows are independent.  f(W) = u/v is recorded and
-        its independence of V is spot-checked against a second containing
-        coforest when one exists.
+    def weigh(self, positions, gram, cok):
+        """Theorem 2's identity on the k-reduced spanning coforest W with
+        these sorted row positions, Gram determinant `gram` and cokernel
+        order `cok` (the engine's at theorem 2's leaf); returns the weight
+        parts u, v, f and gram_factor, or raises AssertionError.
+
+        The cokernel order of W's tails must equal `cok`.  Greedy passes
+        over the other rows' tails pick a containing spanning coforest
+        V = W + S; u(W,V) = |det(A[S] B'')| is the product of their pivot
+        gcds and v(V,X) a Bareiss determinant.  A[V] U is block triangular
+        (W's rows are triangular on the pivot columns, with the pivot gcds
+        on the diagonal, and zero on B''), so cok u = v is checked, and so
+        is the relative-order form gram u^2 = v^2 det(B''^t B'').  f(W) =
+        u/v must not change with a second containing coforest.
         """
         k = self.b_up - len(positions)
-        bprime = kernel_columns([self.rows[p] for p in positions], self.b_up)
-        if len(bprime) != k:
-            raise AssertionError(
-                f"kernel of rank {len(bprime)} != {k} on rows {list(positions)}")
-        gram_factor = gram_det_of(bprime)
-        # The rows of A[W] span the annihilator of B', so a set S of other rows
-        # extends W to an independent set exactly when the images a B' of its
-        # rows are independent: greedy passes over those k-vectors choose the
-        # containing spanning coforests V = W + S, the same V as greedy passes
-        # over the rows of A that start with W.
+        order, tails = self.tails(positions)
+        if order != cok:
+            raise AssertionError(f"boundary weight mismatch on rows {list(positions)}: "
+                                 f"cokernel order {order} of the tails != {cok}")
+        n = len(self.rows)
+        gram_factor = gram_det_of(list(zip(*tails[n:])))
         pos_set = set(positions)
-        images = {p: [sum(map(mul, row, col)) for col in bprime]
-                  for p, row in enumerate(self.rows) if p not in pos_set}
-        rest = list(images)
-        s1 = greedy_basis(images, rest, k)
-        u1, vv1 = _u_v_orders(self, positions, s1, images)
+        rest = [p for p in range(n) if p not in pos_set]
+        s1, u1 = greedy_basis(tails, rest, k)
+        vv1 = self._containing_order(positions, s1)
+        if cok * u1 != vv1:
+            raise AssertionError(f"boundary weight mismatch on rows {list(positions)}: "
+                                 f"cok {cok} * u {u1} != v {vv1}")
         if gram * u1 * u1 != vv1 * vv1 * gram_factor:
-            raise AssertionError(
-                f"boundary weight mismatch on rows {list(positions)}: "
-                f"{gram} * {u1}^2 != {vv1}^2 * {gram_factor}")
-        f_w = Fraction(u1, vv1)
-        s2 = greedy_basis(images, rest[::-1], k)
+            raise AssertionError(f"boundary weight mismatch on rows {list(positions)}: "
+                                 f"{gram} * {u1}^2 != {vv1}^2 * {gram_factor}")
+        s2, u2 = greedy_basis(tails, rest[::-1], k)
         if set(s2) != set(s1):
-            u2, vv2 = _u_v_orders(self, positions, s2, images)
-            if Fraction(u2, vv2) != f_w:
+            vv2 = self._containing_order(positions, s2)
+            if u1 * vv2 != u2 * vv1:
                 raise AssertionError(
                     f"f(W) depends on the containing coforest: {u1}/{vv1} vs {u2}/{vv2}")
-        return {"u": u1, "v": vv1, "f": f_w, "gram_factor": gram_factor}
+        return {"u": u1, "v": vv1, "f": Fraction(u1, vv1), "gram_factor": gram_factor}
+
+    def _containing_order(self, w_positions, interface):
+        """v(V,X) for the spanning coforest V = W + interface."""
+        if len(w_positions) + len(interface) != self.b_up:
+            raise AssertionError("no containing spanning coforest exists")
+        v = self.v_order(sorted([*w_positions, *interface]))
+        if v == 0:
+            raise AssertionError("degenerate containing coforest")
+        return v
 
 
 def cycle_weight(x, d, subset, basis, ctx=None):
@@ -410,9 +430,10 @@ def boundary_weight(x, d, subset, basis, ctx=None):
 
     (i) directly as the Gram determinant of the boundary-basis rows indexed
     by the subset, and (ii) in the relative-order form of
-    BoundaryWeightContext.weigh, which must agree.  A subset whose rows are
-    dependent (Gram determinant 0), oversized ones included, is a
-    ComplexFormatError.
+    BoundaryWeightContext.weigh, which must agree.  The cokernel order
+    weigh checks its tails against is the invariant-factor product (a
+    Smith reduction) of the same rows.  A subset whose rows are dependent
+    (Gram determinant 0), oversized ones included, is a ComplexFormatError.
     """
     if ctx is None:
         ctx = BoundaryWeightContext(x, d, basis)
@@ -420,27 +441,10 @@ def boundary_weight(x, d, subset, basis, ctx=None):
     direct = gram_det_of([ctx.rows[p] for p in pos])
     if direct == 0:
         raise ComplexFormatError("subset is not a k-reduced spanning coforest")
+    cok = invariant_factor_product([list(ctx.rows[p]) for p in pos])
     k = ctx.b_up - len(pos)
     return ForestCertificate(subset, "k_reduced_coforest" if k else "spanning_coforest",
-                             k if k else None, direct, ctx.weigh(pos, direct))
-
-
-def _u_v_orders(ctx, w_positions, interface, images):
-    """u(W,V) and v(V,X) for W inside the spanning coforest V = W + interface.
-
-    u = |det(A[V - W] B')| needs A B' only on the k interface rows V - W;
-    `images` holds those rows of A B' (B' the kernel columns, boundaries
-    vanishing on W), so u is a k x k determinant and the n_d x b_d matrix A
-    is never multiplied by B'.  v = |det A[V]| depends only on V and comes
-    from the context's memo (BoundaryWeightContext.v_order).
-    """
-    if len(w_positions) + len(interface) != ctx.b_up:
-        raise AssertionError("no containing spanning coforest exists")
-    u = abs(det_bareiss([list(images[p]) for p in interface]))
-    v = ctx.v_order(sorted([*w_positions, *interface]))
-    if u == 0 or v == 0:
-        raise AssertionError("degenerate containing coforest")
-    return u, v
+                             k if k else None, direct, ctx.weigh(pos, direct, cok))
 
 
 def pair_weight(cols, v_idx, w_idx):
@@ -461,17 +465,3 @@ def pair_weight(cols, v_idx, w_idx):
             raise AssertionError(
                 f"pair weight {weight} != relative order {order} squared")
     return weight
-
-
-def kirchhoff_pair_weight(x, d, forest_subset, coforest_subset):
-    """Squared determinant of the incidence minor of a (forest, coforest) pair.
-
-    Rows are the (d-1)-cells of the coforest, columns the d-cells of the
-    forest; the value is zero unless the pair is a forest of size m together
-    with a spanning coforest of its subcomplex, and is checked by pair_weight.
-    """
-    if len(forest_subset.members) != len(coforest_subset.members):
-        raise ComplexFormatError("forest and coforest sizes differ")
-    return pair_weight(_column_vectors(boundary_matrix(x, d)),
-                       x.positions(d, forest_subset.members),
-                       x.positions(d - 1, coforest_subset.members))

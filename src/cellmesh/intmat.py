@@ -622,37 +622,22 @@ def _apply_pivot_ops(row, p, ops):
     return t
 
 
-def kernel_columns(rows, ncols):
-    """Columns of the canonical basis of the saturated kernel {x : A x = 0},
-    for A given as a list of int rows of length ncols.
+def kernel_basis(a):
+    """Basis of the saturated integer kernel lattice {x : A x = 0}.
 
     Cohen, A Course in Computational Algebraic Number Theory (1993), 2.4:
     reduce the columns of the stacked matrix [A; I] to column Hermite form
     on the rows of A.  The operations are unimodular, so the identity part
     records a unimodular transform U with [A; I] U = [H; U], and the columns
     of U under a zero A-part are a basis of the kernel that is a direct
-    summand of Z^ncols (saturated).  Their canonical column Hermite form
-    depends only on the kernel lattice.
+    summand of Z^cols (all invariant factors 1).  They are returned in
+    canonical column Hermite form, which depends only on the kernel lattice.
     """
-    m = len(rows)
-    cols = [[row[j] for row in rows] + [0] * j + [1] + [0] * (ncols - j - 1)
-            for j in range(ncols)]
-    r = _column_hermite_reduce(cols, m)
-    ker = [col[m:] for col in cols[r:]]
-    _column_hermite_reduce(ker, ncols)
-    return ker
-
-
-def kernel_basis(a):
-    """Basis of the saturated integer kernel lattice {x : A x = 0}.
-
-    Columns form a basis of ker(A) as a direct summand of Z^cols (all
-    invariant factors 1), in canonical column Hermite form.  They come from
-    a column Hermite reduction of [A; I] with its transform (Cohen 1993,
-    2.4), not from a Smith form; see kernel_columns.
-    """
-    n = a.cols
-    ker = kernel_columns(a.data, n)
+    m, n = a.rows, a.cols
+    cols = [[row[j] for row in a.data] + [0] * j + [1] + [0] * (n - j - 1)
+            for j in range(n)]
+    ker = [col[m:] for col in cols[_column_hermite_reduce(cols, m):]]
+    _column_hermite_reduce(ker, n)
     return IntMatrix(n, len(ker), [[col[i] for col in ker] for i in range(n)])
 
 

@@ -150,7 +150,7 @@ def greedy_spanning_forest(x, d):
     bd = boundary_matrix(x, d)
     ids = x.cell_ids(d)
     return CellSubset(d, [ids[j] for j in
-                          greedy_basis(_column_vectors(bd), range(bd.cols), rank(bd))])
+                          greedy_basis(_column_vectors(bd), range(bd.cols), rank(bd))[0]])
 
 
 def geometric_cycle_basis(x, d, v0):
@@ -511,11 +511,16 @@ def verify_theorem1(x, d, basis=None, processes=None):
 
 def _boundary_leaf_check(ctx, chosen, gram, cok):
     """Theorem 2's leaf check: the rows `chosen` of the boundary matrix are
-    a k-reduced spanning coforest, whose relative-order form
-    (BoundaryWeightContext.weigh) must give the engine's Gram determinant
-    `gram`.
+    a k-reduced spanning coforest W with the engine's Gram determinant
+    `gram` and cokernel order `cok`.  BoundaryWeightContext.weigh replays
+    W's pushes on its path stack of Hermite tails and checks three
+    identities against them: its cokernel order equals `cok`, cok u = v
+    (A[V] U is block triangular), and gram u^2 = v^2 det(B''^t B''), where
+    V is a greedy containing coforest, u the determinant of its interface
+    rows' tails, v = |det A[V]| and B'' the unit rows' tails, a saturated
+    basis of ker A[W].  No kernel is solved per leaf.
     Returns the fold's (subset size, gram, 1)."""
-    ctx.weigh(chosen, gram)
+    ctx.weigh(chosen, gram, cok)
     return len(chosen), gram, 1
 
 
@@ -523,8 +528,12 @@ def verify_theorem2(x, d, basis=None, processes=None):
     """Check the boundary mesh characteristic polynomial against the
     weighted sum over k-reduced spanning coforests.
 
-    The coforests are the independent row subsets of the boundary matrix;
-    every one must pass _boundary_leaf_check.
+    The coforests are the independent row subsets of the boundary matrix,
+    and a coforest's weight is the engine's Gram determinant of its rows.
+    Every one must pass _boundary_leaf_check: the engine's cokernel order
+    against the tails that BoundaryWeightContext.weigh carries on its own
+    path stack, cokernel order times u(W,V) against v(V,X), and the
+    relative-order form of the weight.
     """
     if processes is None:
         processes = default_processes()

@@ -115,6 +115,35 @@ def double_v_order(monkeypatch):
                         lambda ctx, v_positions: 2 * v_order(ctx, v_positions))
 
 
+def double_engine_cok(monkeypatch):
+    """Make BoundaryWeightContext.weigh see twice the cokernel order its
+    caller hands it, as an engine with a wrong Hermite tail would give
+    theorem 2's leaf; the context's own tails, u and v are left alone."""
+    from cellmesh.forests import BoundaryWeightContext
+    weigh = BoundaryWeightContext.weigh
+    monkeypatch.setattr(BoundaryWeightContext, "weigh",
+                        lambda ctx, positions, gram, cok: weigh(ctx, positions, gram, 2 * cok))
+
+
+def triple_interface_tail(monkeypatch):
+    """Make BoundaryWeightContext.tails return, in a copy, three times the
+    first nonzero tail of a row outside W.  The first greedy pass always
+    keeps that row, so u(W,V) triples while the interface, the cokernel
+    order of the tails, B'' and v(V,X) stay; the path stack is untouched."""
+    from cellmesh.forests import BoundaryWeightContext
+    tails = BoundaryWeightContext.tails
+
+    def tripled(ctx, positions):
+        cok, rows = tails(ctx, positions)
+        rows = list(rows)
+        p = next((p for p in range(len(ctx.rows)) if p not in positions and any(rows[p])),
+                 None)
+        if p is not None:
+            rows[p] = [3 * a for a in rows[p]]
+        return cok, rows
+    monkeypatch.setattr(BoundaryWeightContext, "tails", tripled)
+
+
 def quadruple_pair_weight(monkeypatch):
     """Make the pair leaf of spectra._pair_sums (Kirchhoff's, and geometric's
     boundary side) see four times every pair_weight, as a wrong incidence
@@ -273,3 +302,78 @@ def smith_kernel_oracle(a):
     n = a.cols
     raw = IntMatrix(n, n - r, [row[r:] for row in snf.v.data])
     return column_hermite_oracle(raw)
+
+
+def classify(x, d, subset):
+    """All applicable kinds (with parameters) of a subset of d-cells, by
+    ranks of submatrices: the oracle for enumerate_forests' kinds.
+
+    A spanning forest is also reported as 0-augmented, a spanning coforest
+    as 0-reduced.
+    """
+    from cellmesh.complexes import ComplexFormatError, boundary_matrix
+    from cellmesh.homology import integral_boundary_basis
+    from cellmesh.intmat import rank
+    if subset.dimension != d:
+        raise ComplexFormatError(
+            f"subset at dimension {subset.dimension}, expected {d}")
+    pos = x.positions(d, subset.members)
+    bd = boundary_matrix(x, d)
+    b_low = rank(bd)
+    sub_rank = rank(bd.submatrix(range(bd.rows), pos))
+    kinds = set()
+    m = len(pos)
+    if sub_rank == m and m <= b_low:
+        kinds.add(("forest_of_size", m))
+        if m == b_low:
+            kinds.add(("spanning_forest", None))
+    if sub_rank == b_low and m >= b_low:
+        kinds.add(("k_augmented", m - b_low))
+    bbasis = integral_boundary_basis(x, d).basis
+    b_up = bbasis.cols
+    row_rank = rank(bbasis.submatrix(pos, range(b_up)))
+    if row_rank == m and m <= b_up:
+        kinds.add(("k_reduced_coforest", b_up - m))
+        if m == b_up:
+            kinds.add(("spanning_coforest", None))
+    return kinds
+
+
+def kirchhoff_pair_weight(x, d, forest_subset, coforest_subset):
+    """Squared determinant of the incidence minor of a (forest, coforest)
+    pair, by forests.pair_weight on cell ids.
+
+    Rows are the (d-1)-cells of the coforest, columns the d-cells of the
+    forest; the value is zero unless the pair is a forest of size m together
+    with a spanning coforest of its subcomplex.
+    """
+    from cellmesh.complexes import ComplexFormatError, boundary_matrix
+    from cellmesh.forests import _column_vectors, pair_weight
+    if len(forest_subset.members) != len(coforest_subset.members):
+        raise ComplexFormatError("forest and coforest sizes differ")
+    return pair_weight(_column_vectors(boundary_matrix(x, d)),
+                       x.positions(d, forest_subset.members),
+                       x.positions(d - 1, coforest_subset.members))
+
+
+def kernel_weight_oracle(ctx, positions):
+    """Theorem 2's weight parts u, v, f and gram_factor of the coforest W
+    with these sorted row positions of a BoundaryWeightContext, by the
+    earlier kernel route: B' the canonical saturated kernel basis of W's
+    rows (intmat.kernel_basis), the other rows' images a B' as explicit
+    products, and the same greedy containing coforests V; u = |det| of the
+    interface images and v = |det A[V]| by fresh Bareiss determinants."""
+    from fractions import Fraction
+    from cellmesh.forests import greedy_basis
+    from cellmesh.intmat import IntMatrix, det_bareiss, gram_det_of, kernel_basis
+    k = ctx.b_up - len(positions)
+    kernel = kernel_basis(IntMatrix(len(positions), ctx.b_up, [ctx.rows[p] for p in positions]))
+    bprime = [[row[j] for row in kernel.data] for j in range(kernel.cols)]
+    assert len(bprime) == k
+    inside = set(positions)
+    images = {p: [sum(a * b for a, b in zip(row, col)) for col in bprime]
+              for p, row in enumerate(ctx.rows) if p not in inside}
+    interface = greedy_basis(images, list(images), k)[0]
+    u = abs(det_bareiss([list(images[p]) for p in interface]))
+    v = abs(det_bareiss([list(ctx.rows[p]) for p in sorted([*positions, *interface])]))
+    return {"u": u, "v": v, "f": Fraction(u, v), "gram_factor": gram_det_of(bprime)}

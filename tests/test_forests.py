@@ -10,12 +10,12 @@ import pytest
 from cellmesh.complexes import CellSubset, ComplexFormatError, boundary_matrix, simplex_id
 from cellmesh.corpus import RP2_FACES
 from cellmesh.forests import (BoundaryWeightContext, CycleWeightContext,
-                              boundary_weight, classify, cycle_weight,
-                              enumerate_forests, kirchhoff_pair_weight, pair_weight)
+                              boundary_weight, cycle_weight, enumerate_forests,
+                              pair_weight)
 from cellmesh.homology import integral_boundary_basis, integral_cycle_basis
 from cellmesh.intmat import IntMatrix, gram_det, kernel_basis, rank, invariant_factor_product
 from cellmesh.spectra import independent_subsets
-from conftest import random_int_matrix
+from conftest import classify, kirchhoff_pair_weight, random_int_matrix
 from test_random_complexes import random_bouquet
 
 
@@ -301,24 +301,27 @@ def test_boundary_weight_f_independence(corpus):
 
 
 def test_boundary_weigh_rejects_wrong_gram(corpus):
-    # the Gram determinant handed to BoundaryWeightContext.weigh is checked,
-    # not trusted; the engine's own passes and gives the public parts
+    # the Gram determinant and cokernel order handed to
+    # BoundaryWeightContext.weigh are checked, not trusted; the engine's own
+    # pass and give the public parts
     for name, d in (("moore_z2", 1), ("delta3", 1), ("sphere2", 1)):
         x = corpus[name]
         b = integral_boundary_basis(x, d)
         ctx = BoundaryWeightContext(x, d, b)
         ids = x.cell_ids(d)
-        for idx, gram, _ in independent_subsets(ctx.rows, b.rank):
+        for idx, gram, cok in independent_subsets(ctx.rows, b.rank):
             subset = CellSubset(d, [ids[i] for i in idx])
-            assert ctx.weigh(idx, gram) == boundary_weight(x, d, subset, b, ctx).weight_parts
-            with pytest.raises(AssertionError, match="boundary weight mismatch"):
-                ctx.weigh(idx, gram + 1)
+            parts = ctx.weigh(idx, gram, cok)
+            assert parts == boundary_weight(x, d, subset, b, ctx).weight_parts
+            for wrong in ((gram + 1, cok), (gram, 2 * cok)):
+                with pytest.raises(AssertionError, match="boundary weight mismatch"):
+                    ctx.weigh(idx, *wrong)
 
 
 def test_boundary_weight_rejects_dependent_subset(corpus):
     # a public caller's dependent or oversized subset (Gram determinant 0)
     # is a ComplexFormatError; handed to BoundaryWeightContext.weigh, the
-    # kernel rank rejects it with an AssertionError
+    # first zero tail of a pushed row rejects it with an AssertionError
     x = corpus["delta3"]
     b = integral_boundary_basis(x, 1)
     ids = x.cell_ids(1)
@@ -330,8 +333,8 @@ def test_boundary_weight_rejects_dependent_subset(corpus):
         subset = CellSubset(1, [ids[i] for i in pos])
         with pytest.raises(ComplexFormatError, match="not a k-reduced"):
             boundary_weight(x, 1, subset, b)
-        with pytest.raises(AssertionError, match="kernel of rank"):
-            BoundaryWeightContext(x, 1, b).weigh(pos, 1)
+        with pytest.raises(AssertionError, match="are dependent"):
+            BoundaryWeightContext(x, 1, b).weigh(pos, 1, 1)
 
 
 def test_kirchhoff_pair_examples(corpus):

@@ -17,6 +17,7 @@ from cellmesh.homology import integral_boundary_basis
 from cellmesh.spectra import (verify_geometric_theorems, verify_kirchhoff_lyons,
                               verify_theorem1, verify_theorem2)
 from cellmesh.torsion import verify_rf_identity
+from conftest import kernel_weight_oracle
 
 
 def random_bouquet(rng, n_edges, n_faces, lo=-3, hi=3):
@@ -62,7 +63,8 @@ def test_random_bouquets_all_identities():
 
 def test_random_bouquets_exercise_nontrivial_relative_orders():
     # the coforest weights must hit u(W,V) > 1, so the relative-order ratio
-    # in the boundary weight is genuinely exercised, not vacuous
+    # in the boundary weight is genuinely exercised, not vacuous; the tail
+    # route's parts must equal the kernel oracle's on every coforest
     rng = random.Random(2024)
     seen_u_above_one = 0
     for _ in range(20):
@@ -72,6 +74,8 @@ def test_random_bouquets_exercise_nontrivial_relative_orders():
         for k in range(b.basis.cols):
             for cert in enumerate_forests(x, 1, "k_reduced_coforest", k):
                 w = boundary_weight(x, 1, cert.subset, b, ctx)
+                pos = x.positions(1, cert.subset.members)
+                assert w.weight_parts == kernel_weight_oracle(ctx, pos), (x.name, pos)
                 if w.weight_parts["u"] > 1:
                     seen_u_above_one += 1
     assert seen_u_above_one >= 10

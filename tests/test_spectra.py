@@ -25,9 +25,10 @@ from cellmesh.spectra import (combinatorial_laplacian, geometric_boundary_basis,
                               verify_theorem1, verify_theorem2,
                               weighted_laplacian)
 from cellmesh.torsion import verify_rf_identity
-from conftest import (dependent_twin, double_t_x, double_torsion, double_v_order,
-                      lose_one_coforest, perturb_reduced_table, quadruple_pair_weight,
-                      random_unimodular, scale_unit_row)
+from conftest import (dependent_twin, double_engine_cok, double_t_x, double_torsion,
+                      double_v_order, kernel_weight_oracle, lose_one_coforest,
+                      perturb_reduced_table, quadruple_pair_weight, random_unimodular,
+                      scale_unit_row, triple_interface_tail)
 
 SMALL = [("k3", 1), ("k4", 1), ("theta", 1), ("p2", 1), ("delta3", 1),
          ("delta3", 2), ("delta3", 3), ("sphere2", 1), ("sphere2", 2),
@@ -494,17 +495,33 @@ def test_theorem2_rejects_doubled_v_order(corpus, monkeypatch):
     assert entered
 
 
+def test_theorem2_rejects_cok_or_u_scaled_on_one_route(corpus, monkeypatch):
+    # the engine's cokernel order scaled, with the tails left alone, breaks
+    # the check of the tails' cokernel order; one interface tail scaled,
+    # with the cokernel order and v(V,X) left alone, breaks cok * u = v;
+    # both at the first leaf, serially and in the pool
+    for patch in (double_engine_cok, triple_interface_tail):
+        patch(monkeypatch)
+        entered = force_pool(monkeypatch)
+        for processes in (1, 2):
+            with pytest.raises(AssertionError, match="boundary weight mismatch"):
+                verify_theorem2(corpus["rp2"], 1, processes=processes)
+        assert entered
+        monkeypatch.undo()
+
+
 def test_theorem2_leaf_path_matches_public_boundary_weight(corpus, monkeypatch):
     # the leaf check feeds BoundaryWeightContext.weigh the engine's sorted
-    # row positions and Gram determinant; on every k-reduced coforest it
-    # must give the weight and parts of the public route, which validates
-    # the cell ids and takes its own Gram determinant
+    # row positions, Gram determinant and cokernel order; on every
+    # k-reduced coforest it must give the weight and parts of the public
+    # route, which validates the cell ids and takes its own Gram
+    # determinant and Smith product, and the parts of the kernel oracle
     weigh = BoundaryWeightContext.weigh
     fed = {}
 
-    def recorded(ctx, positions, gram):
-        parts = weigh(ctx, positions, gram)
-        fed[tuple(positions)] = (gram, parts)
+    def recorded(ctx, positions, gram, cok):
+        parts = weigh(ctx, positions, gram, cok)
+        fed[tuple(positions)] = (gram, parts, kernel_weight_oracle(ctx, positions))
         return parts
     monkeypatch.setattr(BoundaryWeightContext, "weigh", recorded)
     for name, d in (("moore_z2", 1), ("delta3", 1), ("delta3", 2), ("k4", 1)):
@@ -517,9 +534,10 @@ def test_theorem2_leaf_path_matches_public_boundary_weight(corpus, monkeypatch):
         coforests = {cert.subset for k in range(basis.rank)
                      for cert in enumerate_forests(x, d, "k_reduced_coforest", k)}
         assert set(leaves) == coforests, (name, d)
-        for subset, got in leaves.items():
+        for subset, (gram, parts, oracle) in leaves.items():
+            assert parts == oracle, (name, d, sorted(subset.members))
             public = boundary_weight(x, d, subset, basis)
-            assert got == (public.weight, public.weight_parts)
+            assert (gram, parts) == (public.weight, public.weight_parts)
 
 
 def test_pool_failure_falls_back_to_serial(corpus, monkeypatch):
