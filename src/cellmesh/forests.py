@@ -15,7 +15,7 @@ from math import gcd
 
 from .complexes import CellSubset, ComplexFormatError, boundary_matrix
 from .homology import integral_boundary_basis, integral_cycle_basis
-from .intmat import (_apply_pivot_ops, _column_hermite_reduce, _pivot_ops,
+from .intmat import (_apply_pivot_ops_in_place, _column_hermite_reduce, _pivot_ops,
                      det_bareiss, gram_det, gram_det_of, invariant_factor_product,
                      kernel_basis, rank)
 
@@ -55,8 +55,8 @@ def greedy_basis(vectors, order, target):
 
     A vector raises the rank when its tail, after the column operations
     that clear the kept vectors (_pivot_ops, as the enumeration engine
-    runs them), is nonzero.  The operations are applied as
-    _apply_pivot_ops does, but in place on one copy of the vector."""
+    runs them), is nonzero.  They are applied in place on one copy of
+    the vector."""
     cleared = []
     picked = []
     cok = 1
@@ -67,11 +67,7 @@ def greedy_basis(vectors, order, target):
             continue
         tail = list(vectors[i])
         for p, ops in cleared:
-            sp = tail[p]
-            for c, x, y, u, v in ops:
-                sc = tail[c]
-                sp, tail[c] = x * sp + y * sc, u * sp + v * sc
-            del tail[p]
+            _apply_pivot_ops_in_place(tail, p, ops)
         if any(tail):
             picked.append(i)
             cok *= gcd(*tail)
@@ -272,8 +268,8 @@ class CycleWeightContext:
             pivot = rest.pop(0)
             p, ops = _pivot_ops(pivot)
             t0 *= gcd(*pivot)
-            rest = [_apply_pivot_ops(row, p, ops) for row in rest]
-            twins = [_apply_pivot_ops(row, p, ops) for row in twins]
+            rest = [_apply_pivot_ops_in_place(row, p, ops) for row in rest]
+            twins = [_apply_pivot_ops_in_place(row, p, ops) for row in twins]
         t_x = invariant_factor_product([row[:] for row in bd.data])
         if t0 != t_x:
             raise AssertionError(
@@ -335,8 +331,9 @@ class BoundaryWeightContext:
             q, ops = _pivot_ops(pivot)
             # a zero tail (a row pushed already, or one dependent on them)
             # stays zero and only loses the pivot column
-            levels.append((cok * gcd(*pivot), [_apply_pivot_ops(t, q, ops) if any(t)
-                                               else t[1:] for t in tails]))
+            tails = [_apply_pivot_ops_in_place(list(t), q, ops) if any(t) else t[1:]
+                     for t in tails]
+            levels.append((cok * gcd(*pivot), tails))
             path.append(p)
         return levels[-1]
 
@@ -346,14 +343,19 @@ class BoundaryWeightContext:
         order `cok` (the engine's at theorem 2's leaf); returns the weight
         parts u, v, f and gram_factor, or raises AssertionError.
 
-        The cokernel order of W's tails must equal `cok`.  Greedy passes
-        over the other rows' tails pick a containing spanning coforest
-        V = W + S; u(W,V) = |det(A[S] B'')| is the product of their pivot
-        gcds and v(V,X) a Bareiss determinant.  A[V] U is block triangular
-        (W's rows are triangular on the pivot columns, with the pivot gcds
-        on the diagonal, and zero on B''), so cok u = v is checked, and so
-        is the relative-order form gram u^2 = v^2 det(B''^t B'').  f(W) =
-        u/v must not change with a second containing coforest.
+        The cokernel order of W's tails must equal `cok`.  At theorem 2's
+        leaf the engine reached `cok` by the same column operations on the
+        same rows, so there this only checks that the path stack, a cache,
+        matches the engine; boundary_weight passes a Smith product, a
+        second route.  Greedy passes over the other rows' tails pick a
+        containing spanning coforest V = W + S; u(W,V) = |det(A[S] B'')| is
+        the product of their pivot gcds and v(V,X) a Bareiss determinant.
+        A[V] U is block triangular (W's rows are triangular on the pivot
+        columns, with the pivot gcds on the diagonal, and zero on B''), so
+        cok u = v is checked, and so is the relative-order form
+        gram u^2 = v^2 det(B''^t B''); these two hold v, from Bareiss, and
+        the engine's gram against the tails.  f(W) = u/v must not change
+        with a second containing coforest.
         """
         k = self.b_up - len(positions)
         order, tails = self.tails(positions)

@@ -610,10 +610,10 @@ def _pivot_ops(tail):
     return p, ops
 
 
-def _apply_pivot_ops(row, p, ops):
-    """`row` through the column operations (p, ops) of _pivot_ops, with the
-    pivot column p dropped: a fresh list one entry shorter."""
-    t = list(row)
+def _apply_pivot_ops_in_place(t, p, ops):
+    """The list `t` through the column operations (p, ops) of _pivot_ops,
+    in place, with the pivot column p dropped; returns `t`, one entry
+    shorter.  A caller that keeps the row passes a copy."""
     sp = t[p]
     for c, x, y, u, v in ops:
         sc = t[c]

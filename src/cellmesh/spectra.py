@@ -46,8 +46,8 @@ from .forests import (BoundaryWeightContext, CycleWeightContext, _column_vectors
                       greedy_basis, pair_weight)
 from .homology import (covolume_squared, integral_boundary_basis, integral_cycle_basis,
                        lift_gram, torsion_order)
-from .intmat import (IntMatrix, RatMatrix, _apply_pivot_ops, _pivot_ops, char_poly,
-                     char_poly_rational, rank, solve_bareiss, weighted_gram)
+from .intmat import (IntMatrix, RatMatrix, _apply_pivot_ops_in_place, _pivot_ops,
+                     char_poly, char_poly_rational, rank, solve_bareiss, weighted_gram)
 
 MESH_KINDS = ("cycles", "boundaries", "laplacian", "weighted_laplacian")
 
@@ -245,11 +245,11 @@ def _contract(state, pivot_tail, pivot_twin, cands):
     out = []
     for j, (w, _, _), tail, twin in cands:
         item = gram_state_push(state, w, start)
-        t = _apply_pivot_ops(tail, p, ops)
+        t = _apply_pivot_ops_in_place(list(tail), p, ops)
         if (item is None) == any(t):
             raise AssertionError(f"rank routes disagree on candidate {j}")
         if twin_ops is not None:
-            twin = _apply_pivot_ops(twin, *twin_ops)
+            twin = _apply_pivot_ops_in_place(list(twin), *twin_ops)
             if (item is None) == any(twin):
                 raise AssertionError(f"rank routes disagree on the twin of candidate {j}")
         if item is not None:
@@ -513,11 +513,13 @@ def _boundary_leaf_check(ctx, chosen, gram, cok):
     """Theorem 2's leaf check: the rows `chosen` of the boundary matrix are
     a k-reduced spanning coforest W with the engine's Gram determinant
     `gram` and cokernel order `cok`.  BoundaryWeightContext.weigh replays
-    W's pushes on its path stack of Hermite tails and checks three
-    identities against them: its cokernel order equals `cok`, cok u = v
-    (A[V] U is block triangular), and gram u^2 = v^2 det(B''^t B''), where
-    V is a greedy containing coforest, u the determinant of its interface
-    rows' tails, v = |det A[V]| and B'' the unit rows' tails, a saturated
+    W's pushes on its path stack of Hermite tails, checks that the stack's
+    cokernel order is `cok` (the same column operations as the engine's,
+    so a check of the cache), and checks two identities against the
+    tails: cok u = v (A[V] U is block triangular) and
+    gram u^2 = v^2 det(B''^t B''), where V is a greedy containing
+    coforest, u the determinant of its interface rows' tails,
+    v = |det A[V]| by Bareiss and B'' the unit rows' tails, a saturated
     basis of ker A[W].  No kernel is solved per leaf.
     Returns the fold's (subset size, gram, 1)."""
     ctx.weigh(chosen, gram, cok)
@@ -530,10 +532,10 @@ def verify_theorem2(x, d, basis=None, processes=None):
 
     The coforests are the independent row subsets of the boundary matrix,
     and a coforest's weight is the engine's Gram determinant of its rows.
-    Every one must pass _boundary_leaf_check: the engine's cokernel order
-    against the tails that BoundaryWeightContext.weigh carries on its own
-    path stack, cokernel order times u(W,V) against v(V,X), and the
-    relative-order form of the weight.
+    Every one must pass _boundary_leaf_check: the path stack of tails
+    that BoundaryWeightContext.weigh keeps must match the engine's
+    cokernel order, that order times u(W,V) must equal v(V,X), and the
+    weight must equal its relative-order form.
     """
     if processes is None:
         processes = default_processes()

@@ -1,12 +1,14 @@
 """`cellmesh forests --with-weights` against a recorded run: stdout, stderr
-and exit code of every spanning, 1-reduced and 2-reduced coforest listing
-of the small corpus complexes stay byte-identical, so the weight parts u,
-v, f and gram_factor of every coforest are pinned.
+and exit code of every spanning and k-reduced coforest listing (every k in
+range for the rank) of the small corpus complexes and of
+tests/data/bouquet_torsion.json stay byte-identical, so the weight parts
+u, v, f and gram_factor of every coforest are pinned.  The corpus cases
+have u = 1 throughout; the bouquet, a CW complex with torsion, has
+coforests with u > 1 and cokernel order > 1 at every k from 1 to 3.
 
-tests/data/forests_golden.json maps "complex d kind" (kind "coforest",
-"reduced1" or "reduced2") to [exit code, stdout, stderr]; a reduction out
-of range for the rank is recorded with its exit code 2.  Rewrite it only
-when an output change is intended, with
+tests/data/forests_golden.json maps "complex d kind" (kind "coforest" or
+"reduced<k>") to [exit code, stdout, stderr].  Rewrite it only when an
+output change is intended, with
 `PYTHONPATH=src python tests/test_forests_golden.py --record`.  The whole
 record replays in about a second.
 """
@@ -17,28 +19,32 @@ import sys
 
 from cellmesh.cli import run
 from cellmesh.complexes import load_complex
+from cellmesh.homology import integral_boundary_basis
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 CORPUS = os.path.join(HERE, "..", "corpus")
 RECORD = os.path.join(HERE, "data", "forests_golden.json")
 NAMES = ("k3", "k4", "theta", "p2", "moore_z2", "delta3", "sphere2")
-KINDS = {"coforest": ["--kind", "coforest"],
-         "reduced1": ["--kind", "reduced", "--k", "1"],
-         "reduced2": ["--kind", "reduced", "--k", "2"]}
+FILES = {**{name: os.path.join(CORPUS, f"{name}.json") for name in NAMES},
+         "bouquet_torsion": os.path.join(HERE, "data", "bouquet_torsion.json")}
 
 
 def _argv(case):
     name, d, kind = case.split()
-    return ["forests", os.path.join(CORPUS, f"{name}.json"), "--dim", d,
-            *KINDS[kind], "--with-weights"]
+    if kind == "coforest":
+        flags = ["--kind", "coforest"]
+    else:
+        flags = ["--kind", "reduced", "--k", kind[len("reduced"):]]
+    return ["forests", FILES[name], "--dim", d, *flags, "--with-weights"]
 
 
 def _all_cases():
-    for name in NAMES:
-        top = load_complex(os.path.join(CORPUS, f"{name}.json")).dimension
-        for d in range(1, top + 1):
-            for kind in KINDS:
-                yield f"{name} {d} {kind}"
+    for name, path in FILES.items():
+        x = load_complex(path)
+        for d in range(1, x.dimension + 1):
+            yield f"{name} {d} coforest"
+            for k in range(1, integral_boundary_basis(x, d).basis.cols):
+                yield f"{name} {d} reduced{k}"
 
 
 def test_forests_match_record(capsys):
