@@ -10,9 +10,8 @@ independent code paths.
 """
 
 from .complexes import (Cell, CellComplex, CellSubset, ComplexFormatError,
-                        WeightAssignment, boundary_matrix, load_complex,
-                        parse_complex, serialize_complex, skeleton,
-                        standard_simplex, subcomplex, validate)
+                        boundary_matrix, load_complex, parse_complex,
+                        serialize_complex, skeleton, standard_simplex, validate)
 from .forests import (ForestCertificate, boundary_weight, cycle_weight,
                       enumerate_forests)
 from .homology import (HomologySummary, LatticeBasis, covolume_squared,

@@ -11,8 +11,8 @@ import argparse
 import json
 import sys
 
-from .complexes import (CellSubset, ComplexFormatError, WeightAssignment, encode_json,
-                        encode_number, load_complex, parse_weight, validate)
+from .complexes import (CellSubset, ComplexFormatError, encode_json, encode_number,
+                        load_complex, parse_weight, validate)
 from .forests import (BoundaryWeightContext, CycleWeightContext, boundary_weight,
                       cycle_weight, enumerate_forests)
 from .homology import (covolume_squared, homology_groups, integral_boundary_basis,
@@ -136,7 +136,7 @@ def cmd_mesh(args):
 def cmd_laplacian(args):
     x = load_complex(args.file)
     if args.use_weights:
-        mesh = weighted_laplacian(x, args.dim, WeightAssignment.from_complex(x))
+        mesh = weighted_laplacian(x, args.dim, x.weights)
     else:
         mesh = combinatorial_laplacian(x, args.dim)
     doc = {

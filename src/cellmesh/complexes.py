@@ -151,25 +151,6 @@ class CellSubset:
         return f"CellSubset({self.dimension}, {sorted(self.members)})"
 
 
-class WeightAssignment:
-    """Positive rational weight per cell, defaulting to 1."""
-
-    def __init__(self, mapping=None):
-        self.mapping = {}
-        for cid, w in (mapping or {}).items():
-            w = Fraction(w)
-            if w <= 0:
-                raise ComplexFormatError(f"nonpositive weight for cell {cid!r}")
-            self.mapping[str(cid)] = w
-
-    def __getitem__(self, cell_id):
-        return self.mapping.get(cell_id, Fraction(1))
-
-    @classmethod
-    def from_complex(cls, x):
-        return cls(x.weights)
-
-
 def validate(x):
     """Check every boundary reference and d d = 0; violations are data.
 
@@ -238,23 +219,6 @@ def boundary_matrix_above(x, d):
         return boundary_matrix(x, d + 1)
     rows = x.n_cells(d)
     return IntMatrix(rows, 0, [[] for _ in range(rows)])
-
-
-def subcomplex(x, d, subset):
-    """X_V: all cells of dimension < d plus exactly the d-cells in V."""
-    if not 0 <= d <= x.dimension:
-        raise ComplexFormatError(f"dimension {d} out of range 0..{x.dimension}")
-    if subset.dimension != d:
-        raise ComplexFormatError(
-            f"subset lives at dimension {subset.dimension}, expected {d}")
-    keep = set(subset.members)
-    have = set(x.cell_ids(d))
-    missing = keep - have
-    if missing:
-        raise ComplexFormatError(f"unknown {d}-cells {sorted(missing)}")
-    cells = {dd: x.cells[dd] for dd in range(d)}
-    cells[d] = tuple(c for c in x.cells[d] if c.id in keep)
-    return CellComplex(f"{x.name}|{d}-sub", d, cells, check=False)
 
 
 def skeleton(x, d):

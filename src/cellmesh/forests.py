@@ -11,6 +11,7 @@ once too few independent candidates are left to reach the size asked for.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .complexes import CellSubset, ComplexFormatError, boundary_matrix
@@ -174,13 +175,14 @@ class CycleWeightContext:
     product t(X) of the raw boundary matrix, so a reduction that was not
     unimodular fails before any subset is weighed.
 
-    Two routes read t(X_W) off T.  twin_table turns T into one twin row
-    per cell, so that the enumeration engine carries t(X_W) down its DFS as
-    a cokernel order: trent and the geometric cycle side take every spanning
-    W's torsion that way (_trent_leaf_check).  torsion_subcomplex runs a
-    Smith per subset and serves what lies off that tree: cycle_weight, the
-    geometric t(X_V0) and U-dependent denominators, and the tests as an
-    oracle.  Both read unit_rows and other_rows when called.
+    One route reads t(X_W) off T, for every spanning W: twin_table turns
+    T into one twin row per cell, and t(X_W) is t0 times the cokernel order
+    of the twin rows of the cells outside W.  The enumeration engine carries
+    that order down its DFS, so trent and the geometric cycle side take
+    every leaf's torsion that way (_trent_leaf_check); `torsion` takes it
+    by one greedy pass for a W off that tree (cycle_weight, and geometric's
+    t(X_V0) and U-dependent denominators).  The twins are built from
+    unit_rows and other_rows on first use and cached in `twins`.
     """
 
     def __init__(self, x, d, basis):
@@ -206,31 +208,26 @@ class CycleWeightContext:
                 self.unit_rows.append((col, row))
             else:
                 self.other_rows.append(row)
-        self.unit_cols = {col for col, _ in self.unit_rows}
 
-    def torsion_subcomplex(self, positions):
-        """t_{d-1} of the subcomplex with exactly these d-cells.
+    @cached_property
+    def twins(self):
+        """(twin rows, t0) of twin_table, built on first use."""
+        return self.twin_table()
 
-        A unit-pivot row i of the reduced table whose pivot column, e_i,
-        lies in W puts e_i in the lattice L_W, so Z^r / L_W is isomorphic
-        to Z^{r-1} / p(L_W), where p drops coordinate i: the row and its
-        column go and the torsion stays.  This holds for any W, spanning or
-        not.  So the Smith runs only on the unit-pivot rows whose column is
-        outside W and the rows with a larger pivot, restricted to W's other
-        columns; with no rows left the order is 1.
-
-        Trent's and geometric's leaf checks take t(X_W) from twin_table
-        instead, with no Smith per subset; this per-subset route serves
-        cycle_weight, geometric's t(X_V0) and its U-dependent denominators,
-        and is the tests' oracle for the twins.
-        """
+    def torsion(self, positions):
+        """t_{d-1} of the subcomplex with exactly these d-cells, which must
+        span the boundary columns: t0 times the cokernel order of the twin
+        rows of the cells outside W (see twin_table), taken by one greedy
+        pass.  Those rows are independent exactly when W spans; a W that
+        does not raises AssertionError."""
+        twins, t0 = self.twins
         inside = set(positions)
-        rows = [row for col, row in self.unit_rows if col not in inside]
-        rows += self.other_rows
-        if not rows:
-            return 1
-        cols = [j for j in positions if j not in self.unit_cols]
-        return invariant_factor_product([[row[j] for j in cols] for row in rows])
+        outside = [c for c in range(len(twins)) if c not in inside]
+        picked, cok = greedy_basis(twins, outside, len(outside))
+        if len(picked) < len(outside):
+            raise AssertionError(f"cells {sorted(inside)} do not span the boundary "
+                                 f"columns of {self.x.name} at d={self.d}")
+        return t0 * cok
 
     def twin_table(self):
         """Trent's twin rows and t0: t(X_W) = t0 * the cokernel order of the
@@ -254,7 +251,8 @@ class CycleWeightContext:
         as the cycle rows.  With S empty this is t(X), so t0 is checked
         against the invariant-factor product of the raw boundary matrix.
 
-        The twins are read from unit_rows and other_rows when called.
+        The twins are read from unit_rows and other_rows when called;
+        callers read them, once per context, from `twins`.
         """
         bd = boundary_matrix(self.x, self.d)
         n = bd.cols
@@ -413,7 +411,7 @@ def cycle_weight(x, d, subset, basis, ctx=None):
     direct = gram_det(u_w.transpose())
     b_w = kernel_basis(u_w)  # cycles supported on the subset, in basis coords
     gram_factor = gram_det(b_w)
-    t_w = ctx.torsion_subcomplex(pos)
+    t_w = ctx.torsion(pos)
     if t_w % ctx.t_x:
         raise AssertionError(
             f"torsion ratio {t_w}/{ctx.t_x} is not an integer on {subset}")
@@ -448,22 +446,3 @@ def boundary_weight(x, d, subset, basis, ctx=None):
     return ForestCertificate(subset, "k_reduced_coforest" if k else "spanning_coforest",
                              k if k else None, direct, ctx.weigh(pos, direct, cok))
 
-
-def pair_weight(cols, v_idx, w_idx):
-    """Squared determinant of the incidence minor on the rows `w_idx` of the
-    boundary columns `cols` indexed by `v_idx`, taken two ways.
-
-    The minor's Bareiss determinant squared is the weight; when it is
-    nonzero, the pair is a forest of size m with a spanning coforest of its
-    subcomplex, and the weight must equal the squared relative order of
-    the pair, the invariant-factor product of the same minor.
-    """
-    minor = [[cols[j][i] for j in v_idx] for i in w_idx]
-    det = det_bareiss([row[:] for row in minor])
-    weight = det * det
-    if weight:
-        order = invariant_factor_product(minor)
-        if order * order != weight:
-            raise AssertionError(
-                f"pair weight {weight} != relative order {order} squared")
-    return weight

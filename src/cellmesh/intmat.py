@@ -44,10 +44,6 @@ class IntMatrix:
     def identity(cls, n):
         return cls(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, rows, cols):
-        return cls(rows, cols, [[0] * cols for _ in range(rows)])
-
     def __eq__(self, other):
         return (isinstance(other, IntMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self.data == other.data)
@@ -502,11 +498,6 @@ def smith_normal_form(a):
     return SmithDecomposition(IntMatrix(rows, rows, u),
                               IntMatrix(rows, cols, d),
                               IntMatrix(cols, cols, v))
-
-
-def invariant_factors(a):
-    """Nontrivial (> 1) invariant factors of the integer matrix a, in order."""
-    return [x for x in smith_normal_form(a).invariant_factors() if x != 1]
 
 
 def _column_hermite_reduce(cols, nrows):

@@ -29,9 +29,10 @@ count (by default, the subset size, its Gram determinant and 1).
 Kirchhoff and geometric's boundary side fold the forests of the boundary
 columns (_pair_sums): below one estimate of the number of (forest,
 coforest) pairs, the leaf _pair_leaf walks each forest's coforests, checks
-every pair, and checks that their squared minors sum to the forest's Gram
-determinant (Cauchy-Binet); above it, the fold sums the Gram determinants
-with no leaf.
+each pair's squared cokernel order against its Gram determinant, and
+checks that the pairs' squared minors sum to the forest's Gram determinant
+(Cauchy-Binet); above it, the fold sums the Gram determinants with no
+leaf.
 """
 
 import os
@@ -43,7 +44,7 @@ from operator import mul
 from .complexes import (CellSubset, ComplexFormatError, boundary_matrix,
                         boundary_matrix_above, encode_json)
 from .forests import (BoundaryWeightContext, CycleWeightContext, _column_vectors,
-                      greedy_basis, pair_weight)
+                      greedy_basis)
 from .homology import (covolume_squared, integral_boundary_basis, integral_cycle_basis,
                        lift_gram, torsion_order)
 from .intmat import (IntMatrix, RatMatrix, _apply_pivot_ops_in_place, _pivot_ops,
@@ -130,7 +131,9 @@ def combinatorial_laplacian(x, d):
 
 
 def weighted_laplacian(x, d, weights):
-    """Square-root-free weighted Laplacian A W_d A^t W_{d-1}^{-1}.
+    """Square-root-free weighted Laplacian A W_d A^t W_{d-1}^{-1}, for a
+    dict of weights by cell id (x.weights, say); a cell absent from it
+    weighs 1.
 
     Similar to the symmetric weighted operator, hence with the same
     characteristic polynomial; built by intmat.weighted_gram.
@@ -138,8 +141,8 @@ def weighted_laplacian(x, d, weights):
     if not 1 <= d <= x.dimension:
         raise ComplexFormatError(f"dimension {d} out of range 1..{x.dimension}")
     a = boundary_matrix(x, d)
-    w_hi = [weights[cid] for cid in x.cell_ids(d)]
-    w_lo = [weights[cid] for cid in x.cell_ids(d - 1)]
+    w_hi = [weights.get(cid, 1) for cid in x.cell_ids(d)]
+    w_lo = [weights.get(cid, 1) for cid in x.cell_ids(d - 1)]
     if any(w <= 0 for w in w_hi + w_lo):
         raise ComplexFormatError("weights must be strictly positive")
     return MeshMatrix("weighted_laplacian", d, weighted_gram(a, w_hi, w_lo))
@@ -495,7 +498,7 @@ def verify_theorem1(x, d, basis=None, processes=None):
     poly = char_poly(mesh.matrix)
     z = basis.basis.cols
     ctx = CycleWeightContext(x, d, basis)
-    twins, t0 = ctx.twin_table()
+    twins, t0 = ctx.twins
     a_rows = [tuple(row) for row in basis.basis.data]
     sums = independent_subset_gram_sums(a_rows, z, processes,
                                         partial(_trent_leaf_check, t0, ctx.t_x), twins)
@@ -559,27 +562,33 @@ def verify_theorem2(x, d, basis=None, processes=None):
 
 # Above this many estimated (forest, coforest) pairs, sum_m C(#columns, m) *
 # C(#rows, m), a pair sum is collapsed by Cauchy-Binet instead of enumerated.
-# An enumerated pair costs about 75 us, so cases below the bound can be slow
-# (2-CPU Xeon, serial): on the 6-vertex complex of the triangles 125, 145,
-# 156, 234, 235, 245, 256, 356, 456 (rank d_2 = 9, estimate 1,307,503)
-# kirchhoff d=2 takes 5.1 s (60,759 pairs) and geometric d=1 5.4 s, against
-# 0.01 s and 0.15 s collapsed; kirchhoff on rp2 d=1 (16,806 pairs) 1.2 s.
+# An enumerated pair costs about 40 us, so cases below the bound can be slow
+# (2-CPU Xeon, Python 3.11, serial, best of 3 CPU seconds): on the 6-vertex
+# complex of the triangles 125, 145, 156, 234, 235, 245, 256, 356, 456
+# (rank d_2 = 9, estimate 1,307,503) kirchhoff d=2 takes 2.3 s (60,759
+# pairs) and geometric d=1 2.4 s, against 0.01 s and 0.08 s collapsed;
+# kirchhoff on rp2 d=1 (16,806 pairs) 0.65 s.
 _PAIR_THRESHOLD = 2_000_000
 
 
 def _pair_leaf(cols, vidx, gram, cok):
     """The pair leaf: the columns `vidx` of `cols` are a forest V with Gram
     determinant `gram`.  Walks V's spanning coforests W, the independent
-    m-sets of the rows of V's columns, whose Gram determinant is the squared
-    m x m minor; each pair must pass pair_weight, and by Cauchy-Binet the
-    squared minors must sum to `gram`.  Returns the fold's (m, gram, number
-    of pairs)."""
+    m-sets of the rows of V's columns.  The engine yields each pair's
+    weight, the squared m x m minor, by two independent routes: the Gram
+    determinant from fraction-free Gram-Schmidt, and |det| as the cokernel
+    order from the Hermite tails' pivot gcds.  The weight is a squared
+    relative order, so every pair must have order^2 = Gram determinant, and
+    by Cauchy-Binet the squared minors must sum to `gram`.  Returns the
+    fold's (m, gram, number of pairs)."""
     m = len(vidx)
     rows = list(zip(*(cols[j] for j in vidx)))
     total = count = 0
-    for widx, det_sq, _ in independent_subsets(rows, m, min_size=m):
-        if pair_weight(cols, vidx, widx) != det_sq:
-            raise AssertionError("pair weight mismatch")
+    for widx, det_sq, order in independent_subsets(rows, m, min_size=m):
+        if order * order != det_sq:
+            raise AssertionError(
+                f"pair weight mismatch: cokernel order {order} squared != Gram determinant "
+                f"{det_sq} of rows {list(widx)} of columns {list(vidx)}")
         total += det_sq
         count += 1
     if total != gram:
@@ -597,7 +606,8 @@ def _pair_sums(cols, n_rows, cap, processes):
     squared m x m incidence minor on (W, V), which by Cauchy-Binet is the
     Gram determinant of V's columns.  One fold walks the forests.  At or
     below _PAIR_THRESHOLD estimated pairs its leaf is _pair_leaf, which
-    checks every pair and their sum, and a count is a pair; above it the
+    checks every pair's cokernel order against its Gram determinant and the
+    pairs' sum against the forest's, and a count is a pair; above it the
     fold has no leaf, and a count is a forest.
     """
     n = len(cols)
@@ -652,12 +662,14 @@ def verify_geometric_theorems(x, d, v0=None, v1=None, processes=None):
     notes which of the two matches; they coincide exactly when V0 is
     torsion-free.  The spanning forests V are walked on trent's tree, on
     the pooled fold: the complements of the independent cycle-basis row
-    sets of size z, with the twin rows of CycleWeightContext.twin_table
+    sets of size z, with the twin rows of CycleWeightContext.twins
     carried alongside.  Every forest passes trent's leaf check
     (_geometric_cycle_leaf), so t(X_V), taken as t0 times the twin
     cokernel order, must match the cokernel order of the cycle rows outside
     V; no Smith runs per forest.  The sums of t(X_V)^2 stay integers per
-    |V - V0| and are divided by t(X_V0)^2 once.
+    |V - V0| and are divided by t(X_V0)^2 once.  t(X_V0) and the
+    U-dependent denominators t(X_{V0+U}) come from the same twin rows, by
+    CycleWeightContext.torsion.
     Boundary side: weights are squared relative orders of (d+1, d) pairs,
     taken by _pair_sums on the columns of V1.
     """
@@ -676,9 +688,9 @@ def verify_geometric_theorems(x, d, v0=None, v1=None, processes=None):
     coeffs = char_poly_rational(mesh0)
     basis = integral_cycle_basis(x, d)
     ctx = CycleWeightContext(x, d, basis)
-    twins, t0 = ctx.twin_table()
+    twins, t0 = ctx.twins
     v0pos = set(x.positions(d, v0.members))
-    t_v0 = ctx.torsion_subcomplex(sorted(v0pos))
+    t_v0 = ctx.torsion(v0pos)
     n = x.n_cells(d)
     free_positions = [j for j in range(n) if j not in v0pos]
     free_bit = {p: 1 << i for i, p in enumerate(free_positions)}
@@ -712,9 +724,8 @@ def verify_geometric_theorems(x, d, v0=None, v1=None, processes=None):
                     inner[u_mask] += inner[u_mask ^ bit]
         udep_rows = {k: Fraction(0) for k in range(z + 1)}
         for u_mask in range(1 << z):
-            upos = sorted(v0pos) + [free_positions[i] for i in range(z)
-                                    if u_mask >> i & 1]
-            t_u = ctx.torsion_subcomplex(sorted(upos))
+            t_u = ctx.torsion([*v0pos, *(free_positions[i] for i in range(z)
+                                         if u_mask >> i & 1)])
             udep_rows[u_mask.bit_count()] += Fraction(inner[u_mask], t_u * t_u)
         for row in rows:
             row["rhs_u_dependent_form"] = udep_rows[row["k"]]

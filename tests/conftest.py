@@ -144,30 +144,36 @@ def triple_interface_tail(monkeypatch):
     monkeypatch.setattr(BoundaryWeightContext, "tails", tripled)
 
 
-def quadruple_pair_weight(monkeypatch):
-    """Make the pair leaf of spectra._pair_sums (Kirchhoff's, and geometric's
-    boundary side) see four times every pair_weight, as a wrong incidence
-    minor or relative order would give."""
+def _patch_coforest_walks(monkeypatch, change):
+    """Pass the subsets of every inner coforest walk of spectra._pair_leaf
+    through change(found), a generator in and out.  The inner walks are the engine runs with min_size equal
+    to max_size and no twins; the forest walks of Kirchhoff and geometric's
+    boundary side start at size 1, and geometric's cycle side carries
+    twins."""
     import cellmesh.spectra as spectra
-    weight = spectra.pair_weight
-    monkeypatch.setattr(spectra, "pair_weight", lambda *args: 4 * weight(*args))
+    walk = spectra.independent_subsets
+
+    def changed(vectors, max_size=None, first=None, twins=None, min_size=1):
+        found = walk(vectors, max_size, first, twins, min_size)
+        return change(found) if twins is None and min_size == max_size else found
+    monkeypatch.setattr(spectra, "independent_subsets", changed)
+
+
+def double_coforest_cok(monkeypatch):
+    """Make every inner coforest walk of spectra._pair_leaf yield twice the
+    cokernel order of each pair, as a wrong Hermite tail would; the Gram
+    determinants are left alone."""
+    _patch_coforest_walks(monkeypatch, lambda found: (
+        (idx, gram, 2 * cok) for idx, gram, cok in found))
 
 
 def lose_one_coforest(monkeypatch):
     """Make every inner coforest walk of spectra._pair_leaf skip its first
-    coforest, as an engine that lost a subset would.  The inner walks are
-    the engine runs with min_size equal to max_size and no twins; the
-    forest walks of Kirchhoff and geometric's boundary side start at size 1,
-    and geometric's cycle side carries twins."""
-    import cellmesh.spectra as spectra
-    walk = spectra.independent_subsets
-
-    def lossy(vectors, max_size=None, first=None, twins=None, min_size=1):
-        found = walk(vectors, max_size, first, twins, min_size)
-        if twins is None and min_size == max_size:
-            next(found, None)
+    coforest, as an engine that lost a subset would."""
+    def lossy(found):
+        next(found, None)
         return found
-    monkeypatch.setattr(spectra, "independent_subsets", lossy)
+    _patch_coforest_walks(monkeypatch, lossy)
 
 
 def double_lift_column(monkeypatch):
@@ -339,16 +345,78 @@ def classify(x, d, subset):
     return kinds
 
 
+def subcomplex(x, d, subset):
+    """X_V: all cells of dimension < d plus exactly the d-cells in V."""
+    from cellmesh.complexes import CellComplex, ComplexFormatError
+    if not 0 <= d <= x.dimension:
+        raise ComplexFormatError(f"dimension {d} out of range 0..{x.dimension}")
+    if subset.dimension != d:
+        raise ComplexFormatError(
+            f"subset lives at dimension {subset.dimension}, expected {d}")
+    keep = set(subset.members)
+    missing = keep - set(x.cell_ids(d))
+    if missing:
+        raise ComplexFormatError(f"unknown {d}-cells {sorted(missing)}")
+    cells = {dd: x.cells[dd] for dd in range(d)}
+    cells[d] = tuple(c for c in x.cells[d] if c.id in keep)
+    return CellComplex(f"{x.name}|{d}-sub", d, cells, check=False)
+
+
+def torsion_subcomplex(ctx, positions):
+    """t_{d-1} of the subcomplex with exactly these d-cells, by a Smith form
+    on the reduced boundary table of the CycleWeightContext ctx: the
+    oracle for CycleWeightContext.torsion and the twins.
+
+    A unit-pivot row i of the reduced table whose pivot column, e_i, lies
+    in W puts e_i in the lattice L_W, so Z^r / L_W is isomorphic to
+    Z^{r-1} / p(L_W), where p drops coordinate i: the row and its column go
+    and the torsion stays.  This holds for any W, spanning or not.  So the
+    Smith runs only on the unit-pivot rows whose column is outside W and
+    the rows with a larger pivot, restricted to W's other columns; with no
+    rows left the order is 1."""
+    from cellmesh.intmat import invariant_factor_product
+    inside = set(positions)
+    rows = [row for col, row in ctx.unit_rows if col not in inside]
+    rows += ctx.other_rows
+    if not rows:
+        return 1
+    unit_cols = {col for col, _ in ctx.unit_rows}
+    cols = [j for j in positions if j not in unit_cols]
+    return invariant_factor_product([[row[j] for j in cols] for row in rows])
+
+
+def pair_weight(cols, v_idx, w_idx):
+    """Squared determinant of the incidence minor on the rows `w_idx` of the
+    boundary columns `cols` indexed by `v_idx`, taken two ways: the oracle
+    for the pair leaf's weights.
+
+    The minor's Bareiss determinant squared is the weight; when it is
+    nonzero, the pair is a forest of size m with a spanning coforest of its
+    subcomplex, and the weight must equal the squared relative order of
+    the pair, the invariant-factor product of the same minor.
+    """
+    from cellmesh.intmat import det_bareiss, invariant_factor_product
+    minor = [[cols[j][i] for j in v_idx] for i in w_idx]
+    det = det_bareiss([row[:] for row in minor])
+    weight = det * det
+    if weight:
+        order = invariant_factor_product(minor)
+        if order * order != weight:
+            raise AssertionError(
+                f"pair weight {weight} != relative order {order} squared")
+    return weight
+
+
 def kirchhoff_pair_weight(x, d, forest_subset, coforest_subset):
     """Squared determinant of the incidence minor of a (forest, coforest)
-    pair, by forests.pair_weight on cell ids.
+    pair, by pair_weight on cell ids.
 
     Rows are the (d-1)-cells of the coforest, columns the d-cells of the
     forest; the value is zero unless the pair is a forest of size m together
     with a spanning coforest of its subcomplex.
     """
     from cellmesh.complexes import ComplexFormatError, boundary_matrix
-    from cellmesh.forests import _column_vectors, pair_weight
+    from cellmesh.forests import _column_vectors
     if len(forest_subset.members) != len(coforest_subset.members):
         raise ComplexFormatError("forest and coforest sizes differ")
     return pair_weight(_column_vectors(boundary_matrix(x, d)),

@@ -9,8 +9,8 @@ import pytest
 
 from cellmesh.cli import run
 from cellmesh.corpus import write_corpus
-from conftest import (double_engine_cok, double_lift_column, double_t_x, double_torsion,
-                      double_v_order, perturb_kalai_matrix, quadruple_pair_weight,
+from conftest import (double_coforest_cok, double_engine_cok, double_lift_column, double_t_x,
+                      double_torsion, double_v_order, perturb_kalai_matrix,
                       triple_interface_tail)
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
@@ -80,8 +80,8 @@ def test_failed_check_exits_1(capsys, monkeypatch, corpus_dir):
             (double_v_order, "rp2", "boundary", "boundary weight mismatch"),
             (double_engine_cok, "rp2", "boundary", "boundary weight mismatch"),
             (triple_interface_tail, "rp2", "boundary", "boundary weight mismatch"),
-            (quadruple_pair_weight, "k4", "kirchhoff", "pair weight mismatch"),
-            (quadruple_pair_weight, "delta3", "geometric", "pair weight mismatch")):
+            (double_coforest_cok, "k4", "kirchhoff", "pair weight mismatch"),
+            (double_coforest_cok, "delta3", "geometric", "pair weight mismatch")):
         patch(monkeypatch)
         code, out, err = invoke(capsys, "verify", str(corpus_dir / f"{name}.json"),
                                 "--theorem", theorem, "--dim", "1")

@@ -7,8 +7,9 @@ import pytest
 from cellmesh.complexes import (Cell, CellComplex, CellSubset,
                                 ComplexFormatError, boundary_matrix,
                                 parse_complex, serialize_complex, skeleton,
-                                standard_simplex, subcomplex, validate)
+                                standard_simplex, validate)
 from cellmesh.corpus import BUILDERS, RP2_FACES, rp2_six_vertex
+from conftest import subcomplex
 
 EDGE_DOC = ('{"name":"edge","dimension":1,"cells":{"0":[{"id":"v1"},{"id":"v2"}],'
             '"1":[{"id":"e","boundary":[["v1",-1],["v2",1]]}]}}')

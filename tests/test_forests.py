@@ -10,12 +10,12 @@ import pytest
 from cellmesh.complexes import CellSubset, ComplexFormatError, boundary_matrix, simplex_id
 from cellmesh.corpus import RP2_FACES
 from cellmesh.forests import (BoundaryWeightContext, CycleWeightContext,
-                              boundary_weight, cycle_weight, enumerate_forests,
-                              pair_weight)
+                              boundary_weight, cycle_weight, enumerate_forests)
 from cellmesh.homology import integral_boundary_basis, integral_cycle_basis
 from cellmesh.intmat import IntMatrix, gram_det, kernel_basis, rank, invariant_factor_product
 from cellmesh.spectra import independent_subsets
-from conftest import classify, kirchhoff_pair_weight, random_int_matrix
+from conftest import (classify, kirchhoff_pair_weight, pair_weight, random_int_matrix,
+                      torsion_subcomplex)
 from test_random_complexes import random_bouquet
 
 
@@ -161,10 +161,12 @@ def _full_table_torsion(ctx, positions):
 
 
 def test_torsion_subcomplex_matches_full_table_oracle(corpus):
-    # the reduced table drops each unit-pivot row whose pivot column lies in
-    # W; t(X_W) must still equal the full-table Smith for spanning and
-    # non-spanning W, on every corpus case and the seeded bouquets of
-    # test_random_complexes
+    # the reduced-table Smith oracle drops each unit-pivot row whose pivot
+    # column lies in W; t(X_W) must still equal the full-table Smith for
+    # spanning and non-spanning W, on every corpus case and the seeded
+    # bouquets of test_random_complexes.  The twin route,
+    # CycleWeightContext.torsion, must match both on every spanning W and
+    # raise on every W that does not span
     cases = [(x, d) for _, x in sorted(corpus.items())
              for d in range(1, x.dimension + 1)]
     bouquets = random.Random(2024)
@@ -184,9 +186,14 @@ def test_torsion_subcomplex_matches_full_table_oracle(corpus):
                        for _ in range(2000)]
         spanning = 0
         for pos in subsets:
-            assert ctx.torsion_subcomplex(pos) == _full_table_torsion(ctx, pos), \
-                (x.name, d, pos)
-            spanning += rank(bd.submatrix(range(bd.rows), pos)) == ctx.b_low
+            oracle = torsion_subcomplex(ctx, pos)
+            assert oracle == _full_table_torsion(ctx, pos), (x.name, d, pos)
+            if rank(bd.submatrix(range(bd.rows), pos)) == ctx.b_low:
+                spanning += 1
+                assert ctx.torsion(pos) == oracle, (x.name, d, pos)
+            else:
+                with pytest.raises(AssertionError, match="do not span"):
+                    ctx.torsion(pos)
         if ctx.b_low:
             assert 0 < spanning < len(subsets), (x.name, d)
         if ctx.other_rows:
@@ -195,7 +202,8 @@ def test_torsion_subcomplex_matches_full_table_oracle(corpus):
 
 
 def test_twin_cokernel_order_matches_torsion_oracles(corpus, monkeypatch):
-    # on every trent leaf, t0 times the engine's twin cokernel order must be
+    # on every trent leaf, t0 times the engine's twin cokernel order and
+    # CycleWeightContext.torsion's greedy pass over the same twins must be
     # t(X_W) by both the reduced-table and the full-table Smith, for every
     # corpus case and the seeded bouquets of test_random_complexes (which
     # bring rows with a larger pivot and t(X) > 1); on the one tree too big
@@ -215,7 +223,7 @@ def test_twin_cokernel_order_matches_torsion_oracles(corpus, monkeypatch):
     for x, d in cases:
         z = integral_cycle_basis(x, d)
         ctx = CycleWeightContext(x, d, z)
-        twins, t0 = ctx.twin_table()
+        twins, t0 = ctx.twins
         assert t0 == ctx.t_x, (x.name, d)
         larger_pivot += bool(ctx.other_rows)
         torsional += ctx.t_x > 1
@@ -230,7 +238,7 @@ def test_twin_cokernel_order_matches_torsion_oracles(corpus, monkeypatch):
         for chosen, _, cok, twin_cok in leaves:
             taken = set(chosen)
             w = [j for j in range(n) if j not in taken]
-            assert t0 * twin_cok == ctx.torsion_subcomplex(w) \
+            assert t0 * twin_cok == ctx.torsion(w) == torsion_subcomplex(ctx, w) \
                 == _full_table_torsion(ctx, w), (x.name, d, chosen)
             assert cok * ctx.t_x == t0 * twin_cok, (x.name, d, chosen)
         if ctx.other_rows or ctx.t_x > 1:
@@ -371,15 +379,16 @@ def test_kirchhoff_pair_examples(corpus):
 
 
 def test_pair_weight_checks_the_relative_order(corpus, monkeypatch):
-    # pair_weight's second route, the invariant-factor product of the same
-    # minor, must agree with the Bareiss determinant on every nonzero pair
-    import cellmesh.forests as forests
+    # the pair-weight oracle's second route, the invariant-factor product of
+    # the same minor, must agree with the Bareiss determinant on every
+    # nonzero pair
+    import cellmesh.intmat as intmat
     k4 = corpus["k4"]
     cols = [tuple(col) for col in zip(*boundary_matrix(k4, 1).data)]
     assert pair_weight(cols, (0, 1, 2), (1, 2, 3)) == 1
     assert pair_weight(cols, (0, 1, 3), (1, 2, 3)) == 0
-    ifp = forests.invariant_factor_product
-    monkeypatch.setattr(forests, "invariant_factor_product", lambda m: 2 * ifp(m))
+    ifp = intmat.invariant_factor_product
+    monkeypatch.setattr(intmat, "invariant_factor_product", lambda m: 2 * ifp(m))
     with pytest.raises(AssertionError, match="pair weight 1 != relative order 2 squared"):
         pair_weight(cols, (0, 1, 2), (1, 2, 3))
     assert pair_weight(cols, (0, 1, 3), (1, 2, 3)) == 0

@@ -44,7 +44,7 @@ def test_snf_hand_example():
 
 def test_snf_identity_and_zero():
     assert smith_normal_form(IntMatrix.identity(4)).diagonal() == [1] * 4
-    s = smith_normal_form(IntMatrix.zeros(3, 2))
+    s = smith_normal_form(IntMatrix(3, 2, [[0, 0] for _ in range(3)]))
     assert s.d.is_zero()
     assert s.u == IntMatrix.identity(3)
     assert s.v == IntMatrix.identity(2)
@@ -111,7 +111,7 @@ def test_kernel_triangle_incidence():
 
 def test_kernel_trivial_cases():
     assert kernel_basis(IntMatrix.identity(3)).cols == 0
-    assert kernel_basis(IntMatrix.zeros(2, 3)) == IntMatrix.identity(3)
+    assert kernel_basis(IntMatrix(2, 3, [[0, 0, 0], [0, 0, 0]])) == IntMatrix.identity(3)
 
 
 def test_kernel_saturation_randomized(rng):
@@ -137,7 +137,8 @@ def test_kernel_basis_matches_smith_oracle(rng):
     # the Hermite-with-transform kernel equals the Smith route's canonical
     # basis, and is saturated, on random, empty, zero and rank-deficient input
     cases = [IntMatrix(0, n, []) for n in range(5)]
-    cases += [IntMatrix.zeros(r, n) for r in range(1, 4) for n in range(5)]
+    cases += [IntMatrix(r, n, [[0] * n for _ in range(r)]) for r in range(1, 4)
+              for n in range(5)]
     for _ in range(2000):
         rows = random_int_matrix(rng, rng.randint(1, 6), rng.randint(0, 8), -4, 4).data
         if len(rows) > 1 and rng.random() < 0.3:  # a multiple of another row
@@ -186,7 +187,7 @@ def test_snf_larger_entries(rng):
 
 def test_rank_examples():
     assert rank(IntMatrix.identity(3)) == 3
-    assert rank(IntMatrix.zeros(2, 2)) == 0
+    assert rank(IntMatrix(2, 2, [[0, 0], [0, 0]])) == 0
     assert rank(IntMatrix.from_rows([[2, 4], [1, 2]])) == 1
 
 
@@ -290,7 +291,7 @@ def test_solve_bareiss_rejects_bad_systems():
             solve(dependent, rhs)
         with pytest.raises(ValueError, match="inconsistent"):
             solve(IntMatrix.from_rows([[1], [0]]), IntMatrix.from_rows([[0], [1]]))
-    assert solve_bareiss(IntMatrix(2, 0, [[], []]), IntMatrix.zeros(2, 1)) == \
+    assert solve_bareiss(IntMatrix(2, 0, [[], []]), IntMatrix(2, 1, [[0], [0]])) == \
         (1, IntMatrix(0, 1, []))
 
 
@@ -342,7 +343,6 @@ def _sympy_char_coeffs(sympy, m):
 def test_char_poly_sympy_oracle(corpus):
     # an implementation that shares no code with the Faddeev-LeVerrier kernel
     sympy = pytest.importorskip("sympy")
-    from cellmesh.complexes import WeightAssignment
     from cellmesh.spectra import weighted_laplacian
     rng = random.Random(104)
     for n in range(13):  # non-symmetric integer matrices up to 12 x 12
@@ -357,8 +357,8 @@ def test_char_poly_sympy_oracle(corpus):
              for _ in range(n)])
         assert char_poly_rational(m) == _sympy_char_coeffs(sympy, m), n
     x = corpus["rp2"]
-    weights = WeightAssignment({cid: Fraction(rng.randint(1, 9), rng.randint(1, 9))
-                                for d in (0, 1) for cid in x.cell_ids(d)})
+    weights = {cid: Fraction(rng.randint(1, 9), rng.randint(1, 9))
+               for d in (0, 1) for cid in x.cell_ids(d)}
     lap = weighted_laplacian(x, 1, weights).matrix
     assert char_poly_rational(lap) == _sympy_char_coeffs(sympy, lap)
 

@@ -140,7 +140,8 @@ def test_unweighted_matrices_are_the_integer_grams():
                 bd = boundary_matrix(smaller, k)
                 lap = bd.mul(bd.transpose())
             else:
-                lap = IntMatrix.zeros(comb(n - 1, k), comb(n - 1, k))
+                size = comb(n - 1, k)
+                lap = IntMatrix(size, size, [[0] * size for _ in range(size)])
             for kind, want in (("incidence", inc.mul(inc.transpose())),
                                ("laplacian", lap),
                                ("mesh", phi.transpose().mul(phi))):

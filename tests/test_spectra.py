@@ -6,8 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from cellmesh.complexes import (CellSubset, ComplexFormatError,
-                                WeightAssignment, boundary_matrix, simplex_id)
+from cellmesh.complexes import CellSubset, ComplexFormatError, boundary_matrix, simplex_id
 from cellmesh.corpus import RP2_FACES
 from cellmesh.forests import (BoundaryWeightContext, CycleWeightContext, boundary_weight,
                               cycle_weight, enumerate_forests)
@@ -25,10 +24,10 @@ from cellmesh.spectra import (combinatorial_laplacian, geometric_boundary_basis,
                               verify_theorem1, verify_theorem2,
                               weighted_laplacian)
 from cellmesh.torsion import verify_rf_identity
-from conftest import (dependent_twin, double_engine_cok, double_t_x, double_torsion,
-                      double_v_order, kernel_weight_oracle, lose_one_coforest,
-                      perturb_reduced_table, quadruple_pair_weight, random_unimodular,
-                      scale_unit_row, triple_interface_tail)
+from conftest import (dependent_twin, double_coforest_cok, double_engine_cok, double_t_x,
+                      double_torsion, double_v_order, kernel_weight_oracle,
+                      lose_one_coforest, perturb_reduced_table, random_unimodular,
+                      scale_unit_row, torsion_subcomplex, triple_interface_tail)
 
 SMALL = [("k3", 1), ("k4", 1), ("theta", 1), ("p2", 1), ("delta3", 1),
          ("delta3", 2), ("delta3", 3), ("sphere2", 1), ("sphere2", 2),
@@ -96,28 +95,25 @@ def test_weighted_laplacian_reduces_to_unweighted(corpus):
     for name, d in [("k3", 1), ("sphere2", 2), ("moore_z2", 2)]:
         x = corpus[name]
         lap = combinatorial_laplacian(x, d)
-        wl = weighted_laplacian(x, d, WeightAssignment())
+        wl = weighted_laplacian(x, d, {})
         assert wl.matrix.data == [[Fraction(v) for v in row]
                                   for row in lap.matrix.data]
 
 
 def test_weighted_laplacian_single_edge(corpus):
     a = Fraction(7, 3)
-    wl = weighted_laplacian(corpus["p2"], 1, WeightAssignment({"e": a}))
+    wl = weighted_laplacian(corpus["p2"], 1, {"e": a})
     assert char_poly_rational(wl.matrix) == [Fraction(0), -2 * a, Fraction(1)]
 
 
 def test_weighted_laplacian_rejects_nonpositive(corpus):
-    with pytest.raises(ComplexFormatError):
-        WeightAssignment({"e": 0})
-    wa = WeightAssignment()
-    wa.mapping["e"] = Fraction(0)  # bypass constructor check
-    with pytest.raises(ComplexFormatError):
-        weighted_laplacian(corpus["p2"], 1, wa)
+    for w in (0, Fraction(-1, 2)):
+        with pytest.raises(ComplexFormatError, match="strictly positive"):
+            weighted_laplacian(corpus["p2"], 1, {"e": w})
 
 
 def test_weighted_laplacian_sigma_nonnegative(corpus):
-    w = WeightAssignment({"e12": Fraction(2), "e23": Fraction(1, 3)})
+    w = {"e12": Fraction(2), "e23": Fraction(1, 3)}
     wl = weighted_laplacian(corpus["k3"], 1, w)
     coeffs = char_poly_rational(wl.matrix)
     n = wl.matrix.rows
@@ -239,7 +235,7 @@ def test_geometric_default_v0_includes_torsion_weight(corpus):
     z5 = integral_cycle_basis(d5, 2)
     ctx = CycleWeightContext(d5, 2, z5)
     rp2_pos = d5.positions(2, [simplex_id(f) for f in RP2_FACES])
-    assert ctx.torsion_subcomplex(rp2_pos) == 2
+    assert ctx.torsion(rp2_pos) == torsion_subcomplex(ctx, rp2_pos) == 2
 
 
 def test_basis_covariance_mesh_transform(corpus, rng):
@@ -338,9 +334,10 @@ def test_pair_leaf_process_count_determinism(corpus, monkeypatch):
 
 
 def test_pair_leaf_rejects_wrong_pair_weight_in_the_pool(corpus, monkeypatch):
-    # a quadrupled position-level pair weight must fail at the first pair,
-    # serially and inside the workers
-    quadruple_pair_weight(monkeypatch)
+    # a pair's cokernel order doubled on the inner coforest walk, with its
+    # Gram determinant left alone, must fail at the first pair, serially and
+    # inside the workers
+    double_coforest_cok(monkeypatch)
     entered = force_pool(monkeypatch)
     for name, verify in (("k4", verify_kirchhoff_lyons), ("delta3", verify_geometric_theorems)):
         for processes in (1, 2):
