@@ -9,10 +9,11 @@ All equality checks are exact; there are no tolerances anywhere.
 Every enumeration of independent subsets runs on one engine,
 independent_subsets, a DFS that keeps the later candidates reduced against
 the chosen prefix (matroid contraction) and yields (sorted index tuple,
-Gram determinant, cokernel order).  Each candidate carries a fraction-free
-Gram-Schmidt triple and a Hermite tail; the Gram triple gives the Gram
-determinant, the tail the cokernel order, and the two are independent rank
-routes that must agree at every push.  A caller may hand the engine one
+Gram determinant, cokernel order).  Each candidate carries its row of the
+Gram matrix reduced by fraction-free Schur-complement steps (Bareiss) and a
+Hermite tail; the Gram row gives the Gram determinant, the tail the
+cokernel order, and the two are independent rank routes that must agree at
+every push.  A caller may hand the engine one
 twin row per vector; each twin is contracted alongside by its own Hermite
 tail, gives a second cokernel order, and its zero tail is a third rank
 route.  At each subset trent checks the cokernel-order identity
@@ -198,65 +199,73 @@ def geometric_boundary_basis(x, d, v1):
 
 
 # ---------------------------------------------------------------------------
-# Fraction-free incremental Gram-Schmidt (running Gram determinants) and the
-# subset engine built on it.
+# Fraction-free elimination on the Gram matrix (running Gram determinants)
+# and the subset engine built on it.
 # ---------------------------------------------------------------------------
 
-def gram_state_push(state, vec, start=0):
-    """Push a vector onto an exact Gram-Schmidt state.
+def gram_state_push(gram, pivot, t, row, later):
+    """One candidate's row of the reduced Gram matrix, contracted by a
+    pivot: one fraction-free Schur-complement step (Bareiss).
 
-    state is a list of (w, norm, gram) triples where w is the scaled
-    orthogonalized vector, norm = <w, w>, and gram is the Gram determinant
-    of all vectors pushed so far.  Returns the new triple, or None when vec
-    is linearly dependent on the pushed vectors.  All arithmetic is integer;
-    the interior divisions are exact (Bareiss on the Gram matrix).
+    Call the chosen candidate c_0 and the candidates after it in its frame
+    c_1, c_2, ...  Each carries a row: the Gram determinant of the prefix
+    plus c_i, then its entries against c_{i+1}, c_{i+2}, ... in order.  By
+    Sylvester's identity the entry of c_i against c_k is the determinant of
+    the Gram matrix of the prefix plus c_i against the prefix plus c_k, so
+    all entries are integers.  `pivot` is the row of c_0, `gram` the Gram
+    determinant of the prefix without it, and `row` the row of c_t.  The
+    contracted row of c_t starts with the Gram determinant of the prefix
+    plus c_0 and c_t,
 
-    With start > 0, vec must be the w of a push onto state[:start]; only the
-    steps from state[start] on are taken, and the result is the triple a
-    push of the original vector onto the whole state returns.
+        (pivot[0] * row[0] - pivot[t] ** 2) // gram,
+
+    and goes on with its entries against the offsets u in `later` (listed
+    in decreasing order) by the same formula, pivot[t] * pivot[u] in place
+    of pivot[t] ** 2; the divisions are exact.  Returns None when the Gram
+    determinant is 0, that is when c_t is dependent on the prefix plus c_0.
     """
-    v = list(vec)
-    prev_gram = state[start - 1][2] if start else 1
-    for k in range(start, len(state)):
-        w, norm, gram_val = state[k]
-        dot = sum(map(mul, v, w))
-        div = prev_gram * prev_gram
-        v = [(norm * a - dot * b) // div for a, b in zip(v, w)]
-        prev_gram = gram_val
-    nrm = sum(map(mul, v, v))
-    if nrm == 0:
+    head = pivot[0]
+    a = pivot[t]
+    diag = (head * row[0] - a * a) // gram
+    if not diag:
         return None
-    # v is gram_{j-1} times the orthogonal component, so <v, v> splits as
-    # gram_{j-1} * gram_j
-    return (v, nrm, nrm // prev_gram)
+    out = [diag]  # a loop, not a comprehension: `later` is short, often empty
+    for u in reversed(later):
+        out.append((head * row[u - t] - a * pivot[u]) // gram)
+    return out
 
 
-def _contract(state, pivot_tail, pivot_twin, cands):
-    """The candidates reduced against a prefix, contracted by its last
-    member.
+def _contract(gram, pivot, pivot_tail, pivot_twin, cands):
+    """The candidates after a pivot, contracted by it.
 
-    Each candidate (j, (w, norm, gram), tail, twin) is taken one Gram step
-    further, onto state[-1], and its tail through the column operations
-    that clear pivot_tail, with the pivot column dropped; its twin, when
-    there is one, likewise through the operations that clear pivot_twin.
-    A candidate that becomes dependent is dropped; its zero norm, its zero
-    tail and its zero twin are independent rank routes and must agree.
+    `pivot` is the chosen candidate's Gram row and `gram` the Gram
+    determinant of the prefix before it.  Each candidate (j, row, tail,
+    twin) takes one Gram step (gram_state_push), last candidate first so
+    that its row keeps entries only against the later candidates that stay,
+    and its tail goes through the column operations that clear pivot_tail,
+    with the pivot column dropped; its twin, when there is one, likewise
+    through the operations that clear pivot_twin.  A candidate that becomes
+    dependent is dropped; its zero Gram determinant, its zero tail and its
+    zero twin are independent rank routes and must agree.
     """
-    start = len(state) - 1
     p, ops = _pivot_ops(pivot_tail)
     twin_ops = None if pivot_twin is None else _pivot_ops(pivot_twin)
     out = []
-    for j, (w, _, _), tail, twin in cands:
-        item = gram_state_push(state, w, start)
-        t = _apply_pivot_ops_in_place(list(tail), p, ops)
-        if (item is None) == any(t):
+    later = []  # offsets from the pivot of the candidates kept so far
+    for t in range(len(cands), 0, -1):
+        j, row, tail, twin = cands[t - 1]
+        row = gram_state_push(gram, pivot, t, row, later)
+        tail = _apply_pivot_ops_in_place(list(tail), p, ops)
+        if (row is None) == any(tail):
             raise AssertionError(f"rank routes disagree on candidate {j}")
         if twin_ops is not None:
             twin = _apply_pivot_ops_in_place(list(twin), *twin_ops)
-            if (item is None) == any(twin):
+            if (row is None) == any(twin):
                 raise AssertionError(f"rank routes disagree on the twin of candidate {j}")
-        if item is not None:
-            out.append((j, item, t, twin))
+        if row is not None:
+            out.append((j, row, tail, twin))
+            later.append(t)
+    out.reverse()
     return out
 
 
@@ -269,17 +278,21 @@ def independent_subsets(vectors, max_size=None, first=None, twins=None, min_size
     This is the one subset-enumeration engine of the package: a DFS that
     keeps, at each node, the later candidates reduced against the chosen
     prefix (matroid contraction).  A candidate carries two reductions:
-      * its gram_state_push triple (w, norm, gram) over the prefix, so its
-        Gram determinant is known before it is visited;
+      * its row of the Gram matrix reduced by the prefix (gram_state_push):
+        the Gram determinant of the prefix plus itself, known before it is
+        visited, then its entries against the later candidates of its
+        frame.  The top rows are dot products, taken once; a contraction
+        costs each candidate one entry per later candidate, whatever the
+        length of the vectors;
       * its tail, the row after the prefix's unimodular column operations
         with the prefix's pivot columns dropped, so the cokernel order of
         the chosen rows (the gcd of their maximal minors, the invariant-
         factor product) is the parent's order times gcd(tail): the
         diagonal of a column Hermite form, built one row at a time.
     Descending into a node contracts each later candidate by one step of
-    both.  A candidate whose norm or tail becomes zero is dependent on the
-    prefix and is dropped for the whole subtree; the two rank routes must
-    agree, or AssertionError is raised.
+    both.  A candidate whose Gram determinant or tail becomes zero is
+    dependent on the prefix and is dropped for the whole subtree; the two
+    rank routes must agree, or AssertionError is raised.
 
     A frame is dropped once the chosen count plus its remaining candidates
     falls below `min_size`: every later member of a subset comes from those
@@ -305,17 +318,19 @@ def independent_subsets(vectors, max_size=None, first=None, twins=None, min_size
     if cap < max(min_size, 1):
         return
     lo = 0 if first is None else first
-    top = []
+    live = []  # the nonzero vectors: at the top a zero vector is the only dependent one
     for j in range(lo, n):
-        item = gram_state_push([], vectors[j])
-        twin = None if twins is None else list(twins[j])
-        if twin is not None and (item is None) == any(twin):
+        independent = any(vectors[j])
+        if twins is not None and independent != any(twins[j]):
             raise AssertionError(f"rank routes disagree on the twin of candidate {j}")
-        if item is not None:
-            top.append((j, item, list(vectors[j]), twin))
+        if independent:
+            live.append(j)
+    top = [(j, [sum(map(mul, vectors[j], vectors[k])) for k in live[i:]], list(vectors[j]),
+            None if twins is None else list(twins[j]))
+           for i, j in enumerate(live)]
     stop = n if first is None else first + 1  # bound on the smallest index
     frames = [[top, 0, sum(1 for cand in top if cand[0] < stop)]]
-    chosen, state, coks, twin_coks = [], [], [1], [1]
+    chosen, grams, coks, twin_coks = [], [1], [1], [1]
     while True:
         frame = frames[-1]
         cands, pos, limit = frame
@@ -324,25 +339,25 @@ def independent_subsets(vectors, max_size=None, first=None, twins=None, min_size
             if not frames:
                 return
             chosen.pop()
-            state.pop()
+            grams.pop()
             coks.pop()
             twin_coks.pop()
             continue
         frame[1] = pos + 1
-        j, item, tail, twin = cands[pos]
+        j, row, tail, twin = cands[pos]
         chosen.append(j)
         cok = coks[-1] * gcd(*tail)
         twin_cok = None if twin is None else twin_coks[-1] * gcd(*twin)
         if len(chosen) >= min_size:
             if twin is None:
-                yield tuple(chosen), item[2], cok
+                yield tuple(chosen), row[0], cok
             else:
-                yield tuple(chosen), item[2], cok, twin_cok
+                yield tuple(chosen), row[0], cok, twin_cok
         if len(chosen) < cap and pos + 1 < len(cands):
-            state.append(item)
+            kids = _contract(grams[-1], row, tail, twin, cands[pos + 1:])
+            grams.append(row[0])
             coks.append(cok)
             twin_coks.append(twin_cok)
-            kids = _contract(state, tail, twin, cands[pos + 1:])
             frames.append([kids, 0, len(kids)])
         else:
             chosen.pop()
@@ -562,12 +577,12 @@ def verify_theorem2(x, d, basis=None, processes=None):
 
 # Above this many estimated (forest, coforest) pairs, sum_m C(#columns, m) *
 # C(#rows, m), a pair sum is collapsed by Cauchy-Binet instead of enumerated.
-# An enumerated pair costs about 40 us, so cases below the bound can be slow
+# An enumerated pair costs about 8-10 us, so cases below the bound can be slow
 # (2-CPU Xeon, Python 3.11, serial, best of 3 CPU seconds): on the 6-vertex
 # complex of the triangles 125, 145, 156, 234, 235, 245, 256, 356, 456
-# (rank d_2 = 9, estimate 1,307,503) kirchhoff d=2 takes 2.3 s (60,759
-# pairs) and geometric d=1 2.4 s, against 0.01 s and 0.08 s collapsed;
-# kirchhoff on rp2 d=1 (16,806 pairs) 0.65 s.
+# (rank d_2 = 9, estimate 1,307,503) kirchhoff d=2 takes 0.47 s (60,759
+# pairs) and geometric d=1 0.49 s, against 0.003 s and 0.03 s collapsed;
+# kirchhoff on rp2 d=1 (16,806 pairs) 0.17 s.
 _PAIR_THRESHOLD = 2_000_000
 
 
@@ -576,8 +591,8 @@ def _pair_leaf(cols, vidx, gram, cok):
     determinant `gram`.  Walks V's spanning coforests W, the independent
     m-sets of the rows of V's columns.  The engine yields each pair's
     weight, the squared m x m minor, by two independent routes: the Gram
-    determinant from fraction-free Gram-Schmidt, and |det| as the cokernel
-    order from the Hermite tails' pivot gcds.  The weight is a squared
+    determinant from the fraction-free steps on the Gram rows, and |det| as
+    the cokernel order from the Hermite tails' pivot gcds.  The weight is a squared
     relative order, so every pair must have order^2 = Gram determinant, and
     by Cauchy-Binet the squared minors must sum to `gram`.  Returns the
     fold's (m, gram, number of pairs)."""

@@ -40,6 +40,43 @@ def random_unimodular(rng, n, steps=12):
     return IntMatrix.from_rows(m)
 
 
+def force_pool(monkeypatch):
+    """Send every enumeration with processes > 1 to the pool; returns the
+    list that records each entry into _run_parallel."""
+    import cellmesh.spectra as spectra
+    entered = []
+    run_parallel = spectra._run_parallel
+
+    def recorded(fn, arg_list, processes):
+        entered.append(len(arg_list))
+        return run_parallel(fn, arg_list, processes)
+    monkeypatch.setattr(spectra, "_POOL_MIN_SUBSETS", 0)
+    monkeypatch.setattr(spectra, "_run_parallel", recorded)
+    return entered
+
+
+def double_one_gram_push(monkeypatch):
+    """Make spectra.gram_state_push, once in each process, return twice the
+    Gram determinant of a candidate that is the only one after its pivot.
+    Its contracted frame holds it alone, so its row is yielded and never
+    contracted again: one subset's Gram determinant doubles and every other
+    value stays exact.  Workers forked after a serial run double one of
+    their own."""
+    import os
+
+    import cellmesh.spectra as spectra
+    push = spectra.gram_state_push
+    done = set()
+
+    def doubled(gram, pivot, t, row, later):
+        out = push(gram, pivot, t, row, later)
+        if out is not None and len(pivot) == 2 and os.getpid() not in done:
+            done.add(os.getpid())
+            out[0] *= 2
+        return out
+    monkeypatch.setattr(spectra, "gram_state_push", doubled)
+
+
 def double_torsion(monkeypatch):
     """Make CycleWeightContext.twin_table return twice t0, after its check
     against t(X), so that every t(X_W) = t0 * twin cokernel order doubles;

@@ -9,9 +9,9 @@ import pytest
 
 from cellmesh.cli import run
 from cellmesh.corpus import write_corpus
-from conftest import (double_coforest_cok, double_engine_cok, double_lift_column, double_t_x,
-                      double_torsion, double_v_order, perturb_kalai_matrix,
-                      triple_interface_tail)
+from conftest import (double_coforest_cok, double_engine_cok, double_lift_column,
+                      double_one_gram_push, double_t_x, double_torsion, double_v_order,
+                      perturb_kalai_matrix, triple_interface_tail)
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
@@ -81,7 +81,8 @@ def test_failed_check_exits_1(capsys, monkeypatch, corpus_dir):
             (double_engine_cok, "rp2", "boundary", "boundary weight mismatch"),
             (triple_interface_tail, "rp2", "boundary", "boundary weight mismatch"),
             (double_coforest_cok, "k4", "kirchhoff", "pair weight mismatch"),
-            (double_coforest_cok, "delta3", "geometric", "pair weight mismatch")):
+            (double_coforest_cok, "delta3", "geometric", "pair weight mismatch"),
+            (double_one_gram_push, "k4", "kirchhoff", "pair weight mismatch")):
         patch(monkeypatch)
         code, out, err = invoke(capsys, "verify", str(corpus_dir / f"{name}.json"),
                                 "--theorem", theorem, "--dim", "1")
@@ -91,7 +92,14 @@ def test_failed_check_exits_1(capsys, monkeypatch, corpus_dir):
         assert err.count("\n") == 1 and "Traceback" not in err
     # a broken identity that raises nothing is a failing report: the report
     # goes to stdout with pass false, one stderr line names the first
-    # failing row, and the exit code is 1
+    # failing row, and the exit code is 1; one doubled Gram determinant of
+    # trent's engine is such a break
+    double_one_gram_push(monkeypatch)
+    code, out, err = invoke(capsys, "verify", str(corpus_dir / "k4.json"),
+                            "--theorem", "trent", "--dim", "1")
+    monkeypatch.undo()
+    assert code == 1 and json.loads(out)["pass"] is False
+    assert err.startswith("verification failed: trent d=1: row k=") and err.count("\n") == 1
     import cellmesh.torsion as torsion
     orig = torsion.reduced_laplacian_det
     monkeypatch.setattr(torsion, "reduced_laplacian_det", lambda x, i: 4 * orig(x, i))

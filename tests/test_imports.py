@@ -1,12 +1,15 @@
-"""No module-level import in src/cellmesh goes unused.
+"""No module-level import in src/cellmesh goes unused, and `import
+cellmesh` imports none of its submodules.
 
 A name bound by a top-level `import` or `from ... import` must be read
-somewhere in its module.  __init__.py is exempt: its imports are the
-package's public names, re-exported through __all__.
+somewhere in its module.  __init__.py is exempt: it resolves the package's
+public names, listed in __all__, on first access.
 """
 
 import ast
 import os
+import subprocess
+import sys
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "cellmesh")
 
@@ -37,3 +40,28 @@ def test_no_unused_module_imports():
             if found:
                 unused[fname] = found
     assert unused == {}
+
+
+def test_package_import_is_lazy():
+    # a fresh interpreter: `import cellmesh` loads no submodule, every
+    # __all__ name then resolves (the submodule names to the submodules),
+    # and an unknown name is an AttributeError
+    probe = (
+        "import sys, types, cellmesh\n"
+        "assert [m for m in sys.modules if m.startswith('cellmesh.')] == []\n"
+        "for name in cellmesh.__all__:\n"
+        "    value = getattr(cellmesh, name)\n"
+        "    assert not isinstance(value, types.ModuleType) or value.__name__ == "
+        "'cellmesh.' + name, name\n"
+        "assert cellmesh.verify_theorem1 is sys.modules['cellmesh.spectra'].verify_theorem1\n"
+        "assert set(cellmesh.__all__) <= set(dir(cellmesh))\n"
+        "assert not hasattr(cellmesh, 'no_such_name')\n"
+        "namespace = {}\n"
+        "exec('from cellmesh import *', namespace)\n"
+        "assert set(cellmesh.__all__) <= set(namespace)\n"
+        "print(len(cellmesh.__all__))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(SRC, ".."))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, check=False)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "64\n"

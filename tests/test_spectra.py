@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 import pytest
 
@@ -13,7 +14,7 @@ from cellmesh.forests import (BoundaryWeightContext, CycleWeightContext, boundar
 from cellmesh.homology import (LatticeBasis, integral_boundary_basis,
                                integral_cycle_basis)
 from cellmesh.intmat import (IntMatrix, char_poly, char_poly_rational,
-                             det_bareiss, gram_det, invariant_factor_product,
+                             det_bareiss, gram_det, gram_det_of, invariant_factor_product,
                              principal_minor_sum)
 from cellmesh.kalai import verify_kalai
 from cellmesh.spectra import (combinatorial_laplacian, geometric_boundary_basis,
@@ -24,10 +25,11 @@ from cellmesh.spectra import (combinatorial_laplacian, geometric_boundary_basis,
                               verify_theorem1, verify_theorem2,
                               weighted_laplacian)
 from cellmesh.torsion import verify_rf_identity
-from conftest import (dependent_twin, double_coforest_cok, double_engine_cok, double_t_x,
-                      double_torsion, double_v_order, kernel_weight_oracle,
-                      lose_one_coforest, perturb_reduced_table, random_unimodular,
-                      scale_unit_row, torsion_subcomplex, triple_interface_tail)
+from conftest import (dependent_twin, double_coforest_cok, double_engine_cok,
+                      double_one_gram_push, double_t_x, double_torsion, double_v_order,
+                      force_pool, kernel_weight_oracle, lose_one_coforest,
+                      perturb_reduced_table, random_unimodular, scale_unit_row,
+                      torsion_subcomplex, triple_interface_tail)
 
 SMALL = [("k3", 1), ("k4", 1), ("theta", 1), ("p2", 1), ("delta3", 1),
          ("delta3", 2), ("delta3", 3), ("sphere2", 1), ("sphere2", 2),
@@ -272,21 +274,6 @@ def test_hodge_consistency(corpus):
                 assert sig_down == sig_up, (name, d, k)
 
 
-def force_pool(monkeypatch):
-    """Send every enumeration with processes > 1 to the pool; returns the
-    list that records each entry into _run_parallel."""
-    import cellmesh.spectra as spectra
-    entered = []
-    run_parallel = spectra._run_parallel
-
-    def recorded(fn, arg_list, processes):
-        entered.append(len(arg_list))
-        return run_parallel(fn, arg_list, processes)
-    monkeypatch.setattr(spectra, "_POOL_MIN_SUBSETS", 0)
-    monkeypatch.setattr(spectra, "_run_parallel", recorded)
-    return entered
-
-
 def test_verifier_process_count_determinism(corpus, monkeypatch):
     # delegating to worker processes must not change any reported value
     x = corpus["rp2"]
@@ -346,6 +333,31 @@ def test_pair_leaf_rejects_wrong_pair_weight_in_the_pool(corpus, monkeypatch):
             assert (processes > 1) == (type(info.value.__cause__).__name__
                                        == "_RemoteTraceback")
     assert entered
+
+
+def test_verifiers_reject_one_doubled_gram_push(corpus, monkeypatch):
+    # one subset's Gram determinant doubled where the engine contracts it:
+    # the pair leaf sees it against the pair's cokernel order, the
+    # collapsed fold (no leaf) and trent in their sums, serially and inside
+    # the workers; the patch doubles once per process, so it is renewed
+    # for every run
+    import cellmesh.spectra as spectra
+    for verify, threshold, message in ((verify_kirchhoff_lyons, None, "pair weight mismatch"),
+                                       (verify_kirchhoff_lyons, 0, None),
+                                       (verify_theorem1, None, None)):
+        for processes in (1, 2):
+            double_one_gram_push(monkeypatch)
+            entered = force_pool(monkeypatch)
+            if threshold is not None:
+                monkeypatch.setattr(spectra, "_PAIR_THRESHOLD", threshold)
+            if message is None:
+                report = verify(corpus["k4"], 1, processes=processes)
+                assert not report.passed, (verify.__name__, threshold, processes)
+            else:
+                with pytest.raises(AssertionError, match=message):
+                    verify(corpus["k4"], 1, processes=processes)
+            assert bool(entered) == (processes > 1)
+            monkeypatch.undo()
 
 
 def test_pair_leaf_rejects_a_lost_coforest(corpus, monkeypatch):
@@ -621,10 +633,10 @@ def test_independent_subsets_rank_routes_must_agree(monkeypatch):
     push = spectra.gram_state_push
     dropped = []
 
-    def drop_once(state, vec, start=0):
-        item = push(state, vec, start)
-        if start and item is not None and not dropped:
-            dropped.append(vec)
+    def drop_once(gram, pivot, t, row, later):
+        item = push(gram, pivot, t, row, later)
+        if item is not None and not dropped:
+            dropped.append(row)
             return None
         return item
     monkeypatch.setattr(spectra, "gram_state_push", drop_once)
@@ -668,20 +680,66 @@ def test_report_serialization_strings(corpus):
 
 
 def test_gram_state_push_rejects_dependent():
-    state = []
-    item = gram_state_push(state, (1, 2))
-    state.append(item)
-    assert gram_state_push(state, (2, 4)) is None
-    # from start on, a push continues one reduced against state[:start]
-    # and agrees with a full push
-    for vec in ((3, 1, 4), (1, 5, 9), (2, 6, 5)):
-        state = [gram_state_push([], (1, 1, 0))]
-        state.append(gram_state_push(state, (0, 2, 1)))
-        full = gram_state_push(state, vec)
-        part = gram_state_push(state[:1], vec)
-        assert gram_state_push(state, part[0], start=1) == full
-        assert gram_state_push(state, vec, start=0) == full
-    state = [gram_state_push([], (1, 0, 0))]
-    state.append(gram_state_push(state, (1, 1, 0)))
-    part = gram_state_push(state[:1], (0, 1, 0))
-    assert gram_state_push(state, part[0], start=1) is None
+    # Gram rows of (1, 2), (2, 4) and (0, 1), each against the later ones:
+    # pivoting on (1, 2) makes (2, 4) dependent, and (0, 1) keeps
+    # Gram((1, 2), (0, 1)) = 1
+    pivot = [5, 10, 2]
+    assert gram_state_push(1, pivot, 2, [1], []) == [1]
+    assert gram_state_push(1, pivot, 1, [20, 4], [2]) is None
+    # (1, 1, 0), (0, 2, 1), (1, 0, 1): a kept candidate's row goes on with
+    # its entry against the later kept one, det [[2, 1], [2, 1]] = 0, and a
+    # second step gives the Gram determinant of all three
+    pivot = [2, 2, 1]
+    last = gram_state_push(1, pivot, 2, [2], [])
+    assert last == [3]
+    assert gram_state_push(1, pivot, 1, [5, 1], [2]) == [6, 0]
+    assert gram_state_push(2, [6, 0], 1, last, []) == [9] == [gram_det_of(
+        [(1, 1, 0), (0, 2, 1), (1, 0, 1)])]
+
+
+def test_gram_state_push_chains_match_gram_det_oracle():
+    # seeded integer vectors with entries up to 10^6, some of them zero or
+    # integer combinations of others: along random chains of pivots, every
+    # contracted row holds the Gram determinant of the prefix plus its
+    # candidate (gram_det_of) and, against each later kept candidate, the
+    # determinant of the mixed Gram matrix (Sylvester's identity); a push
+    # returns None exactly where the Gram determinant is 0
+    rng = random.Random(2468)
+    big = 10 ** 6
+    dependent = crossed = 0
+    for _ in range(150):
+        m = rng.randint(1, 5)
+        vecs = [[rng.randint(-big, big) for _ in range(m)] for _ in range(rng.randint(1, 8))]
+        for k in range(len(vecs)):
+            roll = rng.random()
+            if roll < 0.1:
+                vecs[k] = [0] * m
+            elif roll < 0.3 and k >= 2:
+                a, b = rng.sample(range(k), 2)
+                x, y = rng.randint(-3, 3), rng.randint(-3, 3)
+                vecs[k] = [x * p + y * q for p, q in zip(vecs[a], vecs[b])]
+        frame = [(v, [sum(map(mul, v, w)) for w in vecs[i:] if any(w)])
+                 for i, v in enumerate(vecs) if any(v)]
+        prefix, gram = [], 1
+        while frame:
+            pos = rng.randrange(len(frame))
+            (pv, pivot), rest = frame[pos], frame[pos + 1:]
+            chain = prefix + [pv]
+            kept, later = [], []
+            for t in range(len(rest), 0, -1):
+                v, row = rest[t - 1]
+                out = gram_state_push(gram, pivot, t, row, later)
+                g = gram_det_of(chain + [v])
+                if not g:
+                    dependent += 1
+                    assert out is None, (vecs, chain, v)
+                    continue
+                assert out[0] == g and len(out) == 1 + len(kept), (vecs, chain, v)
+                for (w, _), entry in zip(kept, out[1:]):
+                    mixed = [[sum(map(mul, a, b)) for b in chain + [w]] for a in chain + [v]]
+                    assert entry == det_bareiss(mixed), (vecs, chain, v, w)
+                    crossed += 1
+                kept.insert(0, (v, out))
+                later.append(t)
+            frame, prefix, gram = kept, chain, pivot[0]
+    assert dependent > 40 and crossed > 150, (dependent, crossed)
