@@ -214,17 +214,42 @@ class CycleWeightContext:
         """(twin rows, t0) of twin_table, built on first use."""
         return self.twin_table()
 
+    @cached_property
+    def _unit_twin_cols(self):
+        """Per cell, the column of the 1 or -1 of its twin when the twin is
+        a unit vector (its absolute values sum to 1), else None."""
+        return [[abs(a) for a in row].index(1) if sum(map(abs, row)) == 1 else None
+                for row in self.twins[0]]
+
     def torsion(self, positions):
         """t_{d-1} of the subcomplex with exactly these d-cells, which must
         span the boundary columns: t0 times the cokernel order of the twin
         rows of the cells outside W (see twin_table), taken by one greedy
         pass.  Those rows are independent exactly when W spans; a W that
-        does not raises AssertionError."""
+        does not raises AssertionError.
+
+        A unit-vector twin goes first, with its column: a maximal minor
+        that keeps the column is, by Laplace expansion along the unit
+        entry, +-1 times a maximal minor of the rest, and one that drops it
+        is 0, so the cokernel order stays.  A second unit twin on a column
+        already dropped is kept, and is zero there: the twins are
+        dependent, and the greedy pass finds it."""
         twins, t0 = self.twins
+        unit_cols = self._unit_twin_cols
         inside = set(positions)
-        outside = [c for c in range(len(twins)) if c not in inside]
-        picked, cok = greedy_basis(twins, outside, len(outside))
-        if len(picked) < len(outside):
+        dropped = set()
+        rows = []
+        for c, row in enumerate(twins):
+            if c not in inside:
+                q = unit_cols[c]
+                if q is None or q in dropped:
+                    rows.append(row)
+                else:
+                    dropped.add(q)
+        if dropped:
+            rows = [[a for q, a in enumerate(row) if q not in dropped] for row in rows]
+        picked, cok = greedy_basis(rows, range(len(rows)), len(rows))
+        if len(picked) < len(rows):
             raise AssertionError(f"cells {sorted(inside)} do not span the boundary "
                                  f"columns of {self.x.name} at d={self.d}")
         return t0 * cok

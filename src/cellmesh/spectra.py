@@ -10,13 +10,17 @@ Every enumeration of independent subsets runs on one engine,
 independent_subsets, a DFS that keeps the later candidates reduced against
 the chosen prefix (matroid contraction) and yields (sorted index tuple,
 Gram determinant, cokernel order).  Each candidate carries its row of the
-Gram matrix reduced by fraction-free Schur-complement steps (Bareiss) and a
-Hermite tail; the Gram row gives the Gram determinant, the tail the
-cokernel order, and the two are independent rank routes that must agree at
-every push.  A caller may hand the engine one
-twin row per vector; each twin is contracted alongside by its own Hermite
-tail, gives a second cokernel order, and its zero tail is a third rank
-route.  At each subset trent checks the cokernel-order identity
+Gram matrix reduced by fraction-free Schur-complement steps (Bareiss), a
+Hermite tail and the cokernel order that tail gives; the Gram row gives
+the Gram determinant, the tail the cokernel order, and the two are
+independent rank routes that must agree at every push.  Vectors longer
+than the size cap start their tails in Hermite-reduced coordinates, with
+rank-many entries; the Gram rows come from the original vectors.  A
+contraction by a pivot whose tail has a 1 or -1 only adds multiples of the
+pivot column, so a tail that is 0 there skips it.  A caller may hand the
+engine one twin row per vector; each twin is contracted alongside by its
+own Hermite tail, gives a second cokernel order, and its zero tail is a
+third rank route.  At each subset trent checks the cokernel-order identity
 (_trent_leaf_check): the torsion ratio t(X_W)/t(X), taken on the boundary
 side as t0 times the twin cokernel order of the reduced boundary table
 (CycleWeightContext.twin_table), must equal the engine's cokernel order of
@@ -48,8 +52,8 @@ from .forests import (BoundaryWeightContext, CycleWeightContext, _column_vectors
                       greedy_basis)
 from .homology import (covolume_squared, integral_boundary_basis, integral_cycle_basis,
                        lift_gram, torsion_order)
-from .intmat import (IntMatrix, RatMatrix, _apply_pivot_ops_in_place, _pivot_ops,
-                     char_poly, char_poly_rational, rank, solve_bareiss, weighted_gram)
+from .intmat import (IntMatrix, RatMatrix, _column_hermite_reduce, _pivot_ops, char_poly,
+                     char_poly_rational, rank, solve_bareiss, weighted_gram)
 
 MESH_KINDS = ("cycles", "boundaries", "laplacian", "weighted_laplacian")
 
@@ -235,38 +239,90 @@ def gram_state_push(gram, pivot, t, row, later):
     return out
 
 
-def _contract(gram, pivot, pivot_tail, pivot_twin, cands):
+def _contract(gram, pivot, cands):
     """The candidates after a pivot, contracted by it.
 
-    `pivot` is the chosen candidate's Gram row and `gram` the Gram
-    determinant of the prefix before it.  Each candidate (j, row, tail,
-    twin) takes one Gram step (gram_state_push), last candidate first so
-    that its row keeps entries only against the later candidates that stay,
-    and its tail goes through the column operations that clear pivot_tail,
-    with the pivot column dropped; its twin, when there is one, likewise
-    through the operations that clear pivot_twin.  A candidate that becomes
-    dependent is dropped; its zero Gram determinant, its zero tail and its
-    zero twin are independent rank routes and must agree.
+    `pivot` is the chosen candidate and `gram` the Gram determinant of the
+    prefix before it.  A candidate is (j, row, tail, twin, cok, twin_cok):
+    its Gram row, its Hermite tail, its twin's tail (None without twins),
+    and the cokernel orders of the prefix plus itself on the vectors and
+    on the twins.  Each candidate takes one Gram step (gram_state_push),
+    last candidate first so that its row keeps entries only against the
+    later candidates that stay.  Its tail goes through the column
+    operations that clear the pivot's tail (_pivot_ops), applied here,
+    with the pivot column dropped, and its cokernel order becomes the
+    pivot's times the gcd of the new tail; its twin likewise through the
+    operations that clear the pivot's twin.  When the pivot entry is 1 or
+    -1 every operation adds a multiple of the pivot column to another, so
+    a tail that is 0 there only loses that column and keeps its gcd and,
+    as the pivot's gcd is 1, its cokernel order.  A candidate that
+    becomes dependent is dropped; its zero Gram determinant, its zero tail
+    (cokernel order 0) and its zero twin are independent rank routes and
+    must agree.
     """
-    p, ops = _pivot_ops(pivot_tail)
-    twin_ops = None if pivot_twin is None else _pivot_ops(pivot_twin)
+    _, prow, ptail, ptwin, pcok, ptwin_cok = pivot
+    p, a, ops = _pivot_step(ptail)
+    if ptwin is not None:
+        tp, ta, tops = _pivot_step(ptwin)
     out = []
     later = []  # offsets from the pivot of the candidates kept so far
     for t in range(len(cands), 0, -1):
-        j, row, tail, twin = cands[t - 1]
-        row = gram_state_push(gram, pivot, t, row, later)
-        tail = _apply_pivot_ops_in_place(list(tail), p, ops)
-        if (row is None) == any(tail):
+        j, row, tail, twin, cok, twin_cok = cands[t - 1]
+        row = gram_state_push(gram, prow, t, row, later)
+        tail = list(tail)
+        sp = tail[p]
+        if not a:
+            for c, x, y, u, v in ops:
+                sc = tail[c]
+                sp, tail[c] = x * sp + y * sc, u * sp + v * sc
+        elif sp:
+            if ops is None:
+                ops = [(c, -a * b) for c, b in enumerate(ptail) if b and c != p]
+            for c, u in ops:
+                tail[c] += u * sp
+        del tail[p]
+        if sp or not a:
+            cok = pcok * gcd(*tail)
+        if (row is None) == (cok != 0):
             raise AssertionError(f"rank routes disagree on candidate {j}")
-        if twin_ops is not None:
-            twin = _apply_pivot_ops_in_place(list(twin), *twin_ops)
-            if (row is None) == any(twin):
+        # the same step on the twin, written out again: a helper call per
+        # candidate for either cost serial trent on delta5skel2 d=2 about 7%
+        if ptwin is not None:
+            twin = list(twin)
+            sp = twin[tp]
+            if not ta:
+                for c, x, y, u, v in tops:
+                    sc = twin[c]
+                    sp, twin[c] = x * sp + y * sc, u * sp + v * sc
+            elif sp:
+                if tops is None:
+                    tops = [(c, -ta * b) for c, b in enumerate(ptwin) if b and c != tp]
+                for c, u in tops:
+                    twin[c] += u * sp
+            del twin[tp]
+            if sp or not ta:
+                twin_cok = ptwin_cok * gcd(*twin)
+            if (row is None) == (twin_cok != 0):
                 raise AssertionError(f"rank routes disagree on the twin of candidate {j}")
         if row is not None:
-            out.append((j, row, tail, twin))
+            out.append((j, row, tail, twin, cok, twin_cok))
             later.append(t)
     out.reverse()
     return out
+
+
+def _pivot_step(tail):
+    """(p, a, ops) for _contract on the pivot's nonzero `tail`.  When an
+    entry is 1 or -1, p is the first such column, as in _pivot_ops, a is
+    that entry and ops is None: clearing `tail` adds -a * tail[c] times
+    column p to each column c, and _contract builds those pairs on first
+    use.  Otherwise a is 0 and (p, ops) are _pivot_ops'."""
+    if 1 in tail:
+        return tail.index(1), 1, None
+    if -1 in tail:
+        return tail.index(-1), -1, None
+    p, ops = _pivot_ops(tail)
+    return p, 0, ops
 
 
 def independent_subsets(vectors, max_size=None, first=None, twins=None, min_size=1):
@@ -288,11 +344,22 @@ def independent_subsets(vectors, max_size=None, first=None, twins=None, min_size
         with the prefix's pivot columns dropped, so the cokernel order of
         the chosen rows (the gcd of their maximal minors, the invariant-
         factor product) is the parent's order times gcd(tail): the
-        diagonal of a column Hermite form, built one row at a time.
+        diagonal of a column Hermite form, built one row at a time.  The
+        candidate carries that order too, so a visit only reads it.
     Descending into a node contracts each later candidate by one step of
-    both.  A candidate whose Gram determinant or tail becomes zero is
-    dependent on the prefix and is dropped for the whole subtree; the two
-    rank routes must agree, or AssertionError is raised.
+    both (_contract).  A candidate whose Gram determinant or tail becomes
+    zero is dependent on the prefix and is dropped for the whole subtree;
+    the two rank routes must agree, or AssertionError is raised.
+
+    When the vectors are longer than the cap, the tails start in
+    Hermite-reduced coordinates: the live vectors' coordinate columns
+    through one _column_hermite_reduce, which leaves rank-many nonzero
+    columns (Kirchhoff's collapsed fold on delta5skel2 at d=2 has columns
+    of 15 entries and rank 10).  The change of coordinates is unimodular,
+    so every cokernel order stays; the Gram rows still come from the
+    original dot products, so the two rank routes stay independent.  The
+    reduced tails are also sparse (echelon), so more candidates skip a
+    unit pivot's operations.
 
     A frame is dropped once the chosen count plus its remaining candidates
     falls below `min_size`: every later member of a subset comes from those
@@ -325,40 +392,49 @@ def independent_subsets(vectors, max_size=None, first=None, twins=None, min_size
             raise AssertionError(f"rank routes disagree on the twin of candidate {j}")
         if independent:
             live.append(j)
-    top = [(j, [sum(map(mul, vectors[j], vectors[k])) for k in live[i:]], list(vectors[j]),
-            None if twins is None else list(twins[j]))
-           for i, j in enumerate(live)]
+    tails = [list(vectors[j]) for j in live]
+    if live and len(tails[0]) > cap:
+        # Hermite-reduced coordinates.  Rows as long as the cap are left
+        # alone: there the reduction only costs.  The pair leaf's rows are
+        # such, and it runs the engine once per forest; reducing them too
+        # took serial Kirchhoff on rp2 d=1 from 0.17 s to 0.23 s.
+        cols = [list(col) for col in zip(*tails)]
+        tails = [list(row) for row in zip(*cols[:_column_hermite_reduce(cols, len(live))])]
+    top = []
+    for i, j in enumerate(live):
+        tail = tails[i]
+        cok = gcd(*tail)
+        if not cok:
+            raise AssertionError(f"rank routes disagree on candidate {j}")
+        twin = None if twins is None else list(twins[j])
+        top.append((j, [sum(map(mul, vectors[j], vectors[k])) for k in live[i:]], tail, twin,
+                    cok, None if twin is None else gcd(*twin)))
     stop = n if first is None else first + 1  # bound on the smallest index
-    frames = [[top, 0, sum(1 for cand in top if cand[0] < stop)]]
-    chosen, grams, coks, twin_coks = [], [1], [1], [1]
+    # a frame: its candidates, the next position, the end of its visit, and
+    # the Gram determinant of the prefix its candidates are reduced against
+    frames = [[top, 0, sum(1 for cand in top if cand[0] < stop), 1]]
+    chosen = []
     while True:
         frame = frames[-1]
-        cands, pos, limit = frame
+        cands, pos, limit, gram = frame
         if pos == limit or len(chosen) + len(cands) - pos < min_size:
             frames.pop()
             if not frames:
                 return
             chosen.pop()
-            grams.pop()
-            coks.pop()
-            twin_coks.pop()
             continue
         frame[1] = pos + 1
-        j, row, tail, twin = cands[pos]
-        chosen.append(j)
-        cok = coks[-1] * gcd(*tail)
-        twin_cok = None if twin is None else twin_coks[-1] * gcd(*twin)
+        cand = cands[pos]
+        row = cand[1]
+        chosen.append(cand[0])
         if len(chosen) >= min_size:
-            if twin is None:
-                yield tuple(chosen), row[0], cok
+            if twins is None:
+                yield tuple(chosen), row[0], cand[4]
             else:
-                yield tuple(chosen), row[0], cok, twin_cok
+                yield tuple(chosen), row[0], cand[4], cand[5]
         if len(chosen) < cap and pos + 1 < len(cands):
-            kids = _contract(grams[-1], row, tail, twin, cands[pos + 1:])
-            grams.append(row[0])
-            coks.append(cok)
-            twin_coks.append(twin_cok)
-            frames.append([kids, 0, len(kids)])
+            kids = _contract(gram, cand, cands[pos + 1:])
+            frames.append([kids, 0, len(kids), row[0]])
         else:
             chosen.pop()
 

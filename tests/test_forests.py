@@ -166,7 +166,8 @@ def test_torsion_subcomplex_matches_full_table_oracle(corpus):
     # spanning and non-spanning W, on every corpus case and the seeded
     # bouquets of test_random_complexes.  The twin route,
     # CycleWeightContext.torsion, must match both on every spanning W and
-    # raise on every W that does not span
+    # raise on every W that does not span, unit twins shared by one column
+    # included
     cases = [(x, d) for _, x in sorted(corpus.items())
              for d in range(1, x.dimension + 1)]
     bouquets = random.Random(2024)
@@ -199,6 +200,15 @@ def test_torsion_subcomplex_matches_full_table_oracle(corpus):
         if ctx.other_rows:
             non_unit.add((x.name, d))
     assert {("rp2", 2), ("moore_z2", 2)} <= non_unit
+    # torsion drops each unit-vector twin with its column first; two unit
+    # twins on one column (k3 at d=1, where every twin is +-e_0) are
+    # dependent, so a W that leaves both outside must still raise
+    k3 = corpus["k3"]
+    ctx = CycleWeightContext(k3, 1, integral_cycle_basis(k3, 1))
+    assert ctx._unit_twin_cols == [0, 0, 0]
+    with pytest.raises(AssertionError, match="do not span"):
+        ctx.torsion([0])
+    assert ctx.torsion([0, 1]) == 1
 
 
 def test_twin_cokernel_order_matches_torsion_oracles(corpus, monkeypatch):

@@ -15,7 +15,7 @@ from cellmesh.homology import (LatticeBasis, integral_boundary_basis,
                                integral_cycle_basis)
 from cellmesh.intmat import (IntMatrix, char_poly, char_poly_rational,
                              det_bareiss, gram_det, gram_det_of, invariant_factor_product,
-                             principal_minor_sum)
+                             principal_minor_sum, rank)
 from cellmesh.kalai import verify_kalai
 from cellmesh.spectra import (combinatorial_laplacian, geometric_boundary_basis,
                               geometric_cycle_basis, gram_state_push,
@@ -562,7 +562,7 @@ def test_pool_failure_falls_back_to_serial(corpus, monkeypatch):
     assert entered and fallback.rows == serial.rows
 
 
-def test_independent_subsets_oracle(rng):
+def test_independent_subsets_oracle(rng, monkeypatch):
     # every independent subset with its Gram determinant and cokernel
     # order, against brute force over all subsets; square ones also
     # against det_bareiss squared; with twins, the twin cokernel order
@@ -624,6 +624,71 @@ def test_independent_subsets_oracle(rng):
     # gcds > 1 at every depth: maximal minors (6, 6, -12), det -12, ...
     assert [cok for _, _, cok in independent_subsets([(2, 0, 4), (0, 3, 3), (1, 1, 1)])] == [
         2, 6, 12, 2, 3, 3, 1]
+    # vectors longer than their rank, seeded combinations of fewer
+    # generators with entries up to 10^3, at cap = rank: the tails start in
+    # Hermite-reduced coordinates, where non-unit pivots and _xgcd steps
+    # run; the same brute force, with and without twins, split by smallest
+    # index and by min_size
+    import cellmesh.spectra as spectra
+    seen = {"reduced": 0, "xgcd": 0}
+    reduce, pivot_ops = spectra._column_hermite_reduce, spectra._pivot_ops
+
+    def counted_reduce(cols, nrows):
+        seen["reduced"] += 1
+        return reduce(cols, nrows)
+
+    def counted_ops(tail):
+        p, ops = pivot_ops(tail)
+        seen["xgcd"] += sum(1 for op in ops if op[2])  # y != 0: an _xgcd step
+        return p, ops
+    monkeypatch.setattr(spectra, "_column_hermite_reduce", counted_reduce)
+    monkeypatch.setattr(spectra, "_pivot_ops", counted_ops)
+    gen = random.Random(25)
+    reduced_xgcd = 0
+    for _ in range(40):
+        r = gen.randint(2, 4)
+        length = r + gen.randint(1, 3)
+        gens = [[gen.randint(-160, 160) for _ in range(length)] for _ in range(r)]
+        n = gen.randint(3, 7)
+        coefs = [[gen.randint(-2, 2) for _ in range(r)] for _ in range(n)]
+        vecs = [tuple(sum(c * g[i] for c, g in zip(coef, gens)) for i in range(length))
+                for coef in coefs]
+        cap = rank(IntMatrix.from_rows([list(v) for v in vecs]))
+        want = []
+        for size in range(1, cap + 1):
+            for idx in combinations(range(n), size):
+                g = gram_det_of([vecs[i] for i in idx])
+                if g:
+                    want.append((idx, g, invariant_factor_product([list(vecs[i]) for i in idx])))
+        before = seen["xgcd"]
+        got = list(independent_subsets(vecs, cap))
+        reduced_xgcd += seen["xgcd"] - before
+        assert got == sorted(want), (vecs, cap)
+        assert [item for i in range(n) for item in independent_subsets(vecs, cap, i)] == got
+        for low in range(cap + 2):
+            kept = [item for item in got if len(item[0]) >= low]
+            assert list(independent_subsets(vecs, cap, min_size=low)) == \
+                [((), 1, 1)] * (low == 0) + kept, (vecs, cap, low)
+            assert [item for i in range(n)
+                    for item in independent_subsets(vecs, cap, i, min_size=low)] == kept
+        while True:
+            mix = [[gen.randint(-2, 2) for _ in range(length)] for _ in range(length)]
+            if det_bareiss([row[:] for row in mix]):
+                break
+        twins = [[sum(v[i] * mix[i][j] for i in range(length)) for j in range(length)]
+                 for v in vecs]
+        twinned = list(independent_subsets(vecs, cap, twins=twins))
+        assert [item[:3] for item in twinned] == got
+        for idx, _, _, twin_cok in twinned:
+            assert twin_cok == invariant_factor_product(
+                [twins[i][:] for i in idx]), (vecs, mix, idx)
+        assert [item for i in range(n)
+                for item in independent_subsets(vecs, cap, i, twins)] == twinned
+        for low in range(cap + 2):
+            assert [item for i in range(n)
+                    for item in independent_subsets(vecs, cap, i, twins, low)] == [
+                item for item in twinned if len(item[0]) >= low], (vecs, mix, low)
+    assert seen["reduced"] and reduced_xgcd
 
 
 def test_independent_subsets_rank_routes_must_agree(monkeypatch):
@@ -643,6 +708,23 @@ def test_independent_subsets_rank_routes_must_agree(monkeypatch):
     with pytest.raises(AssertionError, match="rank routes disagree"):
         list(independent_subsets([(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
     assert dropped
+
+
+def test_kirchhoff_rejects_a_dropped_reduced_coordinate(corpus, monkeypatch):
+    # the collapsed fold (kirchhoff on delta5skel2 d=2: columns of 15
+    # entries, rank 10) starts its tails in Hermite-reduced coordinates; a
+    # reduction that drops one nonzero coordinate leaves the tails one rank
+    # short, and the Gram route, from the original dot products, must
+    # disagree with them, serially and in the pool
+    import cellmesh.spectra as spectra
+    reduce = spectra._column_hermite_reduce
+    monkeypatch.setattr(spectra, "_column_hermite_reduce",
+                        lambda cols, nrows: reduce(cols, nrows) - 1)
+    entered = force_pool(monkeypatch)
+    for processes in (1, 2):
+        with pytest.raises(AssertionError, match="rank routes disagree"):
+            verify_kirchhoff_lyons(corpus["delta5skel2"], 2, processes=processes)
+    assert entered
 
 
 def test_report_serialization_strings(corpus):
