@@ -1,14 +1,16 @@
 """`cellmesh forests --with-weights` against a recorded run: stdout, stderr
-and exit code of every spanning and k-reduced coforest listing (every k in
-range for the rank) of the small corpus complexes and of
-tests/data/bouquet_torsion.json stay byte-identical, so the weight parts
-u, v, f and gram_factor of every coforest are pinned.  The corpus cases
-have u = 1 throughout; the bouquet, a CW complex with torsion, has
-coforests with u > 1 and cokernel order > 1 at every k from 1 to 3.
+and exit code of every spanning forest and k-augmented forest listing (every
+k from 0 to the cycle rank) and every spanning and k-reduced coforest
+listing (every k in range for the rank) of the small corpus complexes and
+of tests/data/bouquet_torsion.json stay byte-identical, so the weight parts
+of every forest (torsion_ratio and gram_factor) and of every coforest (u,
+v, f and gram_factor) are pinned.  The corpus cases have u = 1 throughout;
+the bouquet, a CW complex with torsion, has coforests with u > 1 and
+cokernel order > 1 at every k from 1 to 3.
 
-tests/data/forests_golden.json maps "complex d kind" (kind "coforest" or
-"reduced<k>") to [exit code, stdout, stderr].  Rewrite it only when an
-output change is intended, with
+tests/data/forests_golden.json maps "complex d kind" (kind "forest",
+"augmented<k>", "coforest" or "reduced<k>") to [exit code, stdout,
+stderr].  Rewrite it only when an output change is intended, with
 `PYTHONPATH=src python tests/test_forests_golden.py --record`.  The whole
 record replays in about a second.
 """
@@ -19,7 +21,7 @@ import sys
 
 from cellmesh.cli import run
 from cellmesh.complexes import load_complex
-from cellmesh.homology import integral_boundary_basis
+from cellmesh.homology import integral_boundary_basis, integral_cycle_basis
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 CORPUS = os.path.join(HERE, "..", "corpus")
@@ -31,10 +33,11 @@ FILES = {**{name: os.path.join(CORPUS, f"{name}.json") for name in NAMES},
 
 def _argv(case):
     name, d, kind = case.split()
-    if kind == "coforest":
-        flags = ["--kind", "coforest"]
+    if kind in ("forest", "coforest"):
+        flags = ["--kind", kind]
     else:
-        flags = ["--kind", "reduced", "--k", kind[len("reduced"):]]
+        base = kind.rstrip("0123456789")
+        flags = ["--kind", base, "--k", kind[len(base):]]
     return ["forests", FILES[name], "--dim", d, *flags, "--with-weights"]
 
 
@@ -42,6 +45,9 @@ def _all_cases():
     for name, path in FILES.items():
         x = load_complex(path)
         for d in range(1, x.dimension + 1):
+            yield f"{name} {d} forest"
+            for k in range(integral_cycle_basis(x, d).basis.cols + 1):
+                yield f"{name} {d} augmented{k}"
             yield f"{name} {d} coforest"
             for k in range(1, integral_boundary_basis(x, d).basis.cols):
                 yield f"{name} {d} reduced{k}"
