@@ -16,9 +16,9 @@ from math import gcd
 
 from .complexes import CellSubset, ComplexFormatError, boundary_matrix
 from .homology import integral_boundary_basis, integral_cycle_basis
-from .intmat import (_apply_pivot_ops_in_place, _column_hermite_reduce, _pivot_ops,
-                     det_bareiss, gram_det, gram_det_of, invariant_factor_product,
-                     kernel_basis, rank)
+from .intmat import (IntMatrix, _apply_pivot_ops_in_place, _column_hermite_reduce,
+                     _pivot_ops, det_bareiss, gram_det, gram_det_of,
+                     invariant_factor_product, kernel_basis, rank)
 
 KINDS = ("spanning_forest", "k_augmented", "forest_of_size",
          "spanning_coforest", "k_reduced_coforest")
@@ -163,17 +163,17 @@ class CycleWeightContext:
 
     For the subcomplexes the matrix is reduced once, by unimodular row
     operations, to row Hermite form T with b_{d-1} nonzero rows (its rows put
-    in canonical Hermite form by _column_hermite_reduce).  Row operations
-    change the basis of Z^{n_{d-1}} only and the dropped zero rows add free
-    summands only, so every cokernel has the same torsion for T as for the
-    boundary matrix.  T depends only on the row lattice, which is also that
-    of the boundary columns in coordinates of a basis of the saturated
-    boundary lattice (a direct summand), so T is that table's Hermite form
-    too.  A row whose pivot is 1 has the unit vector e_i as its pivot
-    column: the rows below are zero there and the rows above are reduced
-    into [0, 1).  The construction checks that T has the invariant-factor
-    product t(X) of the raw boundary matrix, so a reduction that was not
-    unimodular fails before any subset is weighed.
+    in canonical Hermite form by _column_hermite_reduce, whose pivot count
+    is b_{d-1}).  Row operations change the basis of Z^{n_{d-1}} only and
+    the dropped zero rows add free summands only, so every cokernel has the
+    same torsion for T as for the boundary matrix.  T depends only on the
+    row lattice, which is also that of the boundary columns in coordinates
+    of a basis of the saturated boundary lattice (a direct summand), so T
+    is that table's Hermite form too.  A row whose pivot is 1 has the unit
+    vector e_i as its pivot column: the rows below are zero there and the
+    rows above are reduced into [0, 1).  The construction checks that T has
+    the invariant-factor product t(X) of the raw boundary matrix, so a
+    reduction that was not unimodular fails before any subset is weighed.
 
     One route reads t(X_W) off T, for every spanning W: twin_table turns
     T into one twin row per cell, and t(X_W) is t0 times the cokernel order
@@ -192,11 +192,10 @@ class CycleWeightContext:
         self.d = d
         self.a = basis.basis  # n_d x z_d
         bd = boundary_matrix(x, d)
-        self.b_low = rank(bd)
-        self.z = self.a.cols
         self.t_x = invariant_factor_product([row[:] for row in bd.data])
         table = [row[:] for row in bd.data]
-        table = table[:_column_hermite_reduce(table, bd.cols)]
+        self.b_low = _column_hermite_reduce(table, bd.cols)
+        table = table[:self.b_low]
         if invariant_factor_product([row[:] for row in table]) != self.t_x:
             raise AssertionError(
                 f"reduced boundary table of {x.name} at d={d} changes t(X)")
@@ -419,23 +418,24 @@ def cycle_weight(x, d, subset, basis, ctx=None):
     """Weight of a k-augmented spanning forest, computed both ways.
 
     (i) directly as the Gram determinant of the rows of the cycle-basis
-    matrix indexed by the complement, and (ii) as the squared torsion ratio
+    matrix indexed by the complement, 0 (a ComplexFormatError) when the
+    subset is no such forest, and (ii) as the squared torsion ratio
     t_{d-1}(X_W)/t_{d-1}(X) times the Gram determinant of the inclusion of
-    Z_d(X_W) into the cycle lattice.  The two must agree exactly and the
-    torsion ratio must be a positive integer.
+    Z_d(X_W), of rank k, into the cycle lattice (1 at k = 0, with no kernel
+    solved).  The two must agree exactly and the torsion ratio must be a
+    positive integer.
     """
     if ctx is None:
         ctx = CycleWeightContext(x, d, basis)
     pos = x.positions(d, subset.members)
-    pos_set = set(pos)
-    comp = [i for i in range(x.n_cells(d)) if i not in pos_set]
     k = len(pos) - ctx.b_low
-    u_w = ctx.a.submatrix(comp, range(ctx.z))
-    if k < 0 or rank(u_w) != len(comp):
+    pos_set = set(pos)
+    comp = [row for i, row in enumerate(ctx.a.data) if i not in pos_set]
+    direct = gram_det_of(comp) if k >= 0 else 0
+    if direct == 0:
         raise ComplexFormatError("subset is not a k-augmented spanning forest")
-    direct = gram_det(u_w.transpose())
-    b_w = kernel_basis(u_w)  # cycles supported on the subset, in basis coords
-    gram_factor = gram_det(b_w)
+    # Z_d(X_W): the kernel of the complement's rows, in basis coordinates
+    gram_factor = gram_det(kernel_basis(IntMatrix(len(comp), ctx.a.cols, comp))) if k else 1
     t_w = ctx.torsion(pos)
     if t_w % ctx.t_x:
         raise AssertionError(

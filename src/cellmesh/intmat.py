@@ -1,17 +1,17 @@
 """Exact dense linear algebra over arbitrary-precision integers.
 
-Every elimination runs on lists of Python ints (IntMatrix): Bareiss
-determinants and solves, Hermite and Smith forms, and one integer
-Faddeev-LeVerrier kernel for characteristic polynomials.  RatMatrix, over
-fractions.Fraction, is only the value type of rational outputs (weighted
-Laplacians, Kalai matrices, geometric cycle bases); their characteristic
-polynomials clear denominators by their lcm and run on the integer kernel.
-The weighted Laplacians and Kalai matrices come from one builder,
-weighted_gram, which accumulates in int and makes one Fraction per entry.
-Every routine is pure and returns fresh objects, and there is no floating
-point anywhere.  Empty shapes (0xn, nx0, 0x0) are legal throughout, with
-the empty-product conventions det(0x0) = 1 and char poly of the 0x0
-matrix = 1.
+Every elimination in the package runs on lists of Python ints (IntMatrix),
+by one of four schemes: Bareiss (determinants and solves), Hermite (rank,
+kernels and Hermite forms), Smith (Smith forms) and Faddeev-LeVerrier
+(characteristic polynomials).  RatMatrix, over fractions.Fraction, is only
+the value type of rational outputs (weighted Laplacians, Kalai matrices,
+geometric cycle bases); their characteristic polynomials clear
+denominators by their lcm and run on the integer kernel.  The weighted
+Laplacians and Kalai matrices come from one builder, weighted_gram, which
+accumulates in int and makes one Fraction per entry.  Every routine is
+pure and returns fresh objects, and there is no floating point anywhere.
+Empty shapes (0xn, nx0, 0x0) are legal throughout, with the empty-product
+conventions det(0x0) = 1 and char poly of the 0x0 matrix = 1.
 """
 
 from fractions import Fraction
@@ -223,51 +223,6 @@ def det_rational(m):
     return det
 
 
-def rank_of_rows(rows, ncols):
-    """Rank of an integer matrix given as list of row-lists; destroys rows.
-
-    Fraction-free echelon elimination, as det_bareiss: step k turns every
-    row below the pivot into (p_k row - a row_k) / p_{k-1}, p_k the k-th
-    pivot and p_0 = 1, so every entry stays a minor of the input.  A row
-    with a = 0 would only be scaled by p_k / p_{k-1}; it is left alone and
-    remembers the step it is current at, and since the scalings telescope,
-    a row current at step l is brought to step k by p_k / p_l.  So a step
-    touches only the rows it eliminates, and each division is exact.
-    """
-    pivots = [1]
-    level = [0] * len(rows)
-    rank = 0
-    col = 0
-    m = len(rows)
-    while rank < m and col < ncols:
-        piv = None
-        for i in range(rank, m):
-            if rows[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        level[rank], level[piv] = level[piv], level[rank]
-        prow = rows[rank][col:]
-        if level[rank] != rank:
-            scale, prev = pivots[rank], pivots[level[rank]]
-            prow = [x * scale // prev for x in prow]
-        pv = prow[0]
-        for i in range(rank + 1, m):
-            row_i = rows[i]
-            f = row_i[col]
-            if f:
-                prev = pivots[level[i]]
-                row_i[col:] = [(pv * x - f * y) // prev for x, y in zip(row_i[col:], prow)]
-                level[i] = rank + 1
-        pivots.append(pv)
-        rank += 1
-        col += 1
-    return rank
-
-
 def invariant_factor_product(m):
     """Product of the invariant factors (>= 1) of an integer matrix.
 
@@ -354,8 +309,9 @@ def invariant_factor_product(m):
 # ---------------------------------------------------------------------------
 
 def rank(a):
-    """Rank over the rationals, computed fraction-free."""
-    return rank_of_rows([row[:] for row in a.data], a.cols)
+    """Rank over the rationals: the number of pivots of the column Hermite
+    reduction of a copy of a's columns (_column_hermite_reduce)."""
+    return _column_hermite_reduce([list(col) for col in zip(*a.data)], a.rows)
 
 
 def solve_bareiss(a, b):

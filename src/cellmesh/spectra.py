@@ -30,14 +30,13 @@ on the row sets of size z, whose complements are the spanning forests.
 Every verifier's right-hand side comes from one fold,
 independent_subset_gram_sums, split over the process pool by smallest
 index: a leaf per subset checks it and returns a key, a summand and a
-count (by default, the subset size, its Gram determinant and 1).
-Kirchhoff and geometric's boundary side fold the forests of the boundary
-columns (_pair_sums): below one estimate of the number of (forest,
+count.  Kirchhoff and geometric's boundary side fold the forests of the
+boundary columns (_pair_sums): below one estimate of the number of (forest,
 coforest) pairs, the leaf _pair_leaf walks each forest's coforests, checks
 each pair's squared cokernel order against its Gram determinant, and
 checks that the pairs' squared minors sum to the forest's Gram determinant
-(Cauchy-Binet); above it, the fold sums the Gram determinants with no
-leaf.
+(Cauchy-Binet); above it, the leaf _forest_leaf returns the forest's size
+and Gram determinant, so the fold sums the Gram determinants by size.
 """
 
 import os
@@ -444,21 +443,19 @@ def independent_subsets(vectors, max_size=None, first=None, twins=None, min_size
 _POOL_MIN_SUBSETS = 120_000
 
 
-def independent_subset_gram_sums(vectors, rank_cap, processes=1, leaf=None, twins=None,
+def independent_subset_gram_sums(vectors, rank_cap, processes, leaf, twins=None,
                                  min_size=1):
     """The one pooled leaf fold: {key: [sum, count]} over the independent
     subsets of `vectors` with at least `min_size` and at most `rank_cap`
     members, `rank_cap` bounding the rank of `vectors`.
 
-    Without `leaf` the key is the subset size, the summand its Gram
-    determinant and the count 1.  `leaf(index tuple, gram, cokernel
-    order)`, when given, runs at every subset, raises on a failed identity
-    and returns (key, summand, count); it must be picklable.  With `twins`
-    (see independent_subsets) the leaf also gets the twin cokernel order as
-    a fourth argument.
-    The subsets are split by smallest index over `processes` workers when
-    processes > 1 and sum_{j <= rank_cap} C(n, j) > _POOL_MIN_SUBSETS; the
-    result is the same for any process count.
+    `leaf(index tuple, gram, cokernel order)` runs at every subset, raises
+    on a failed identity and returns (key, summand, count); it must be
+    picklable.  With `twins` (see independent_subsets) the leaf also gets
+    the twin cokernel order as a fourth argument.  The subsets are split by
+    smallest index over `processes` workers when processes > 1 and
+    sum_{j <= rank_cap} C(n, j) > _POOL_MIN_SUBSETS; the result is the same
+    for any process count.
     """
     n = len(vectors)
     if processes > 1 and sum(comb(n, j) for j in range(rank_cap + 1)) > _POOL_MIN_SUBSETS:
@@ -479,10 +476,7 @@ def _fold(args):
     vectors, rank_cap, first, leaf, twins, min_size = args
     out = {}
     for found in independent_subsets(vectors, rank_cap, first, twins, min_size):
-        if leaf is None:
-            key, summand, count = len(found[0]), found[1], 1
-        else:
-            key, summand, count = leaf(*found)
+        key, summand, count = leaf(*found)
         acc = out.setdefault(key, [0, 0])
         acc[0] += summand
         acc[1] += count
@@ -688,6 +682,12 @@ def _pair_leaf(cols, vidx, gram, cok):
     return m, gram, count
 
 
+def _forest_leaf(vidx, gram, cok):
+    """The collapsed pair sums' leaf: the forest `vidx` adds its Gram
+    determinant, by Cauchy-Binet its pair sum, to its size; (m, gram, 1)."""
+    return len(vidx), gram, 1
+
+
 def _pair_sums(cols, n_rows, cap, processes):
     """The pair sums of the boundary columns `cols`, with `n_rows` rows, and
     whether they were collapsed.
@@ -699,11 +699,11 @@ def _pair_sums(cols, n_rows, cap, processes):
     below _PAIR_THRESHOLD estimated pairs its leaf is _pair_leaf, which
     checks every pair's cokernel order against its Gram determinant and the
     pairs' sum against the forest's, and a count is a pair; above it the
-    fold has no leaf, and a count is a forest.
+    leaf is _forest_leaf, and a count is a forest.
     """
     n = len(cols)
     collapsed = sum(comb(n, m) * comb(n_rows, m) for m in range(1, cap + 1)) > _PAIR_THRESHOLD
-    leaf = None if collapsed else partial(_pair_leaf, cols)
+    leaf = _forest_leaf if collapsed else partial(_pair_leaf, cols)
     return independent_subset_gram_sums(cols, cap, processes, leaf), collapsed
 
 

@@ -3,7 +3,7 @@ two-route weight computations."""
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
@@ -146,11 +146,55 @@ def test_cycle_weight_examples(corpus):
     assert w.weight_parts["torsion_ratio"] == 2
 
 
-def test_cycle_weight_rejects_non_forest(corpus):
-    k3 = corpus["k3"]
-    z = integral_cycle_basis(k3, 1)
-    with pytest.raises(ComplexFormatError):
-        cycle_weight(k3, 1, CellSubset(1, ["e12"]), z)
+def _no_kernel(a):
+    raise AssertionError("kernel_basis called")
+
+
+def test_cycle_weight_rejects_non_forest(corpus, monkeypatch):
+    # too few cells (k < 0), and subsets with at least b_{d-1} cells that do
+    # not span: the cycle rows of their complement are dependent, so their
+    # Gram determinant is 0 and the subset is rejected there, before any
+    # kernel is solved; at k = 0 (a triangle of K4) and at k = 1 (the six
+    # edges of the K4 inside delta5skel2's K6, which leave two vertices out)
+    import cellmesh.forests as forests
+    monkeypatch.setattr(forests, "kernel_basis", _no_kernel)
+    k3, k4, d5 = corpus["k3"], corpus["k4"], corpus["delta5skel2"]
+    inner_k4 = [simplex_id(e) for e in combinations(range(1, 5), 2)]
+    for x, cells, k in ((k3, ["e12"], -1), (k4, ["e12", "e13", "e23"], 0),
+                        (d5, inner_k4, 1)):
+        z = integral_cycle_basis(x, 1)
+        ctx = CycleWeightContext(x, 1, z)
+        assert len(cells) - ctx.b_low == k
+        with pytest.raises(ComplexFormatError, match="not a k-augmented spanning forest"):
+            cycle_weight(x, 1, CellSubset(1, cells), z, ctx)
+
+
+def test_cycle_weight_solves_no_kernel_at_k0(corpus, monkeypatch):
+    # Z_d(X_W) has rank k, so a spanning forest's gram_factor is 1 with no
+    # kernel solved: with kernel_basis raising, every spanning forest of
+    # k4 at d=1 and the first 40 of delta5skel2 at d=2, with the torsional
+    # RP2 forest, weigh as before; a 1-augmented forest still needs it
+    import cellmesh.forests as forests
+    cases = []
+    for x, d, limit in ((corpus["k4"], 1, None), (corpus["delta5skel2"], 2, 40)):
+        z = integral_cycle_basis(x, d)
+        ctx = CycleWeightContext(x, d, z)
+        subsets = [cert.subset for cert in islice(enumerate_forests(x, d, "spanning_forest"),
+                                                  limit)]
+        if d == 2:
+            subsets.append(CellSubset(2, [simplex_id(f) for f in RP2_FACES]))
+        cases += [(x, d, s, z, ctx) for s in subsets]
+    want = [cycle_weight(*case) for case in cases]
+    assert {w.weight_parts["gram_factor"] for w in want} == {1}
+    assert {w.weight_parts["torsion_ratio"] for w in want} == {1, 2}
+    monkeypatch.setattr(forests, "kernel_basis", _no_kernel)
+    got = [cycle_weight(*case) for case in cases]
+    assert ([(w.kind, w.param, w.weight, w.weight_parts) for w in got]
+            == [(w.kind, w.param, w.weight, w.weight_parts) for w in want])
+    k4 = corpus["k4"]
+    with pytest.raises(AssertionError, match="kernel_basis called"):
+        cycle_weight(k4, 1, CellSubset(1, ["e12", "e13", "e14", "e23"]),
+                     integral_cycle_basis(k4, 1))
 
 
 def _full_table_torsion(ctx, positions):

@@ -119,7 +119,9 @@ def test_kernel_saturation_randomized(rng):
         a = random_int_matrix(rng, rng.randint(1, 4), rng.randint(1, 5))
         k = kernel_basis(a)
         assert a.mul(k).is_zero()
-        assert rank(a) + k.cols == a.cols
+        # rank and kernel_basis share the Hermite reduction, so the rank
+        # comes from the Fraction oracle
+        assert rank_oracle(a) + k.cols == a.cols
         if k.cols:
             assert smith_normal_form(k).invariant_factors() == [1] * k.cols
 

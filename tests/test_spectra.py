@@ -338,7 +338,7 @@ def test_pair_leaf_rejects_wrong_pair_weight_in_the_pool(corpus, monkeypatch):
 def test_verifiers_reject_one_doubled_gram_push(corpus, monkeypatch):
     # one subset's Gram determinant doubled where the engine contracts it:
     # the pair leaf sees it against the pair's cokernel order, the
-    # collapsed fold (no leaf) and trent in their sums, serially and inside
+    # collapsed fold (_forest_leaf) and trent in their sums, serially and inside
     # the workers; the patch doubles once per process, so it is renewed
     # for every run
     import cellmesh.spectra as spectra
