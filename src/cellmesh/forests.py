@@ -181,8 +181,8 @@ class CycleWeightContext:
     that order down its DFS, so trent and the geometric cycle side take
     every leaf's torsion that way (_trent_leaf_check); `torsion` takes it
     by one greedy pass for a W off that tree (cycle_weight, and geometric's
-    t(X_V0) and U-dependent denominators).  The twins are built from
-    unit_rows and other_rows on first use and cached in `twins`.
+    denominator t(X_V0)).  The twins are built from unit_rows and
+    other_rows on first use and cached in `twins`.
     """
 
     def __init__(self, x, d, basis):

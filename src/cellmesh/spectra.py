@@ -36,7 +36,8 @@ coforest) pairs, the leaf _pair_leaf walks each forest's coforests, checks
 each pair's squared cokernel order against its Gram determinant, and
 checks that the pairs' squared minors sum to the forest's Gram determinant
 (Cauchy-Binet); above it, the leaf _forest_leaf returns the forest's size
-and Gram determinant, so the fold sums the Gram determinants by size.
+and Gram determinant, so the fold sums the Gram determinants by size.  The
+reports name the path in a field, stats.path: "pairs" or "collapsed".
 """
 
 import os
@@ -83,23 +84,20 @@ class VerificationReport:
     """Both sides of an identity, compared, and whether they agree.
 
     `fields` are the report's own entries in JSON order, raw ints and
-    Fractions included, and each is also an attribute: `theorem`, `dim` and
-    `rows` for a theorem, `complex`, `factors`, `lhs`, `rhs` and `skeleta`
-    for the torsion identity.  The JSON form adds `pass`, a null
-    `elapsed_ms`, and `notes` unless they are None.
+    Fractions included, and each is also an attribute: `theorem`, `dim`,
+    `rows` and, for Kirchhoff and geometric, `stats` for a theorem;
+    `complex`, `factors`, `lhs`, `rhs` and `skeleta` for the torsion
+    identity.  The JSON form adds `pass` and a null `elapsed_ms`.
     """
 
-    def __init__(self, fields, passed, notes=None):
+    def __init__(self, fields, passed):
         vars(self).update(fields)
         self.fields = tuple(fields)
         self.passed = passed
-        self.notes = notes
 
     def to_json_dict(self):
         doc = {key: getattr(self, key) for key in self.fields}
         doc.update({"pass": self.passed, "elapsed_ms": None})
-        if self.notes is not None:
-            doc["notes"] = self.notes
         return encode_json(doc)
 
     def __repr__(self):
@@ -525,10 +523,11 @@ def _rows(ks, lhs, rhs, side=None):
     return rows
 
 
-def _report(theorem, d, rows, notes=()):
-    """The report on `rows`, passing when every row passes."""
-    return VerificationReport({"theorem": theorem, "dim": d, "rows": rows},
-                              all(row["pass"] for row in rows), list(notes))
+def _report(theorem, d, rows, **fields):
+    """The report on `rows`, passing when every row passes; `fields` (the
+    stats of Kirchhoff and geometric) follow the rows."""
+    return VerificationReport({"theorem": theorem, "dim": d, "rows": rows, **fields},
+                              all(row["pass"] for row in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -690,21 +689,23 @@ def _forest_leaf(vidx, gram, cok):
 
 def _pair_sums(cols, n_rows, cap, processes):
     """The pair sums of the boundary columns `cols`, with `n_rows` rows, and
-    whether they were collapsed.
+    the path that took them.
 
-    Returns ({m: [sum, count]}, collapsed): for each forest V of m <= cap
+    Returns ({m: [sum, count]}, path): for each forest V of m <= cap
     of the columns, the sum over the spanning coforests W of V of the
     squared m x m incidence minor on (W, V), which by Cauchy-Binet is the
     Gram determinant of V's columns.  One fold walks the forests.  At or
     below _PAIR_THRESHOLD estimated pairs its leaf is _pair_leaf, which
     checks every pair's cokernel order against its Gram determinant and the
-    pairs' sum against the forest's, and a count is a pair; above it the
-    leaf is _forest_leaf, and a count is a forest.
+    pairs' sum against the forest's, a count is a pair and the path is
+    "pairs"; above it the leaf is _forest_leaf, a count is a forest and the
+    path is "collapsed".
     """
     n = len(cols)
     collapsed = sum(comb(n, m) * comb(n_rows, m) for m in range(1, cap + 1)) > _PAIR_THRESHOLD
     leaf = _forest_leaf if collapsed else partial(_pair_leaf, cols)
-    return independent_subset_gram_sums(cols, cap, processes, leaf), collapsed
+    return (independent_subset_gram_sums(cols, cap, processes, leaf),
+            "collapsed" if collapsed else "pairs")
 
 
 def verify_kirchhoff_lyons(x, d, processes=None):
@@ -719,50 +720,46 @@ def verify_kirchhoff_lyons(x, d, processes=None):
     n_low = x.n_cells(d - 1)
     bd = boundary_matrix(x, d)
     b_low = rank(bd)
-    rhs, collapsed = _pair_sums(_column_vectors(bd), n_low, b_low, processes)
+    rhs, path = _pair_sums(_column_vectors(bd), n_low, b_low, processes)
     rows = _rows(range(1, b_low + 1), lambda m: (-1) ** m * poly.coefficient(n_low - m),
                  rhs)
     if rows:
         rows[-1]["product_of_nonzero_eigenvalues"] = rows[-1]["lhs"]
-    notes = ["inner coforest sums collapsed via Cauchy-Binet"] if collapsed else []
-    return _report("kirchhoff", d, rows, notes)
+    return _report("kirchhoff", d, rows, stats={"path": path})
 
 
 # ---------------------------------------------------------------------------
 # Geometric-basis theorems.
 # ---------------------------------------------------------------------------
 
-def _geometric_cycle_leaf(t0, t_x, free_bit, chosen, gram, cok, twin_cok):
+def _geometric_cycle_leaf(t0, t_x, v0pos, chosen, gram, cok, twin_cok):
     """Geometric's cycle-side leaf: the cycle rows `chosen` are the
     complement of a spanning forest V and must pass trent's leaf check.
-    Returns the fold's key, the bitmask of V - V0 (free_bit maps each
-    position outside V0 to its bit), t(X_V)^2 = (t0 * twin_cok)^2, and 1."""
+    Returns the fold's key |V - V0|, which is |chosen & V0| as both V and
+    V0 have b_{d-1} cells, t(X_V)^2 = (t0 * twin_cok)^2, and 1."""
     _trent_leaf_check(t0, t_x, chosen, gram, cok, twin_cok)
     t_v = t0 * twin_cok
-    return (1 << len(chosen)) - 1 - sum(free_bit.get(p, 0) for p in chosen), t_v * t_v, 1
+    return len(v0pos.intersection(chosen)), t_v * t_v, 1
 
 
 def verify_geometric_theorems(x, d, v0=None, v1=None, processes=None):
     """Check the characteristic polynomials of the geometric cycle and
     boundary mesh matrices against their combinatorial double sums.
 
-    Cycle side: the directly computed Gram coefficients are authoritative.
-    Two candidate closed forms for the weights are evaluated: the
-    torsion-ratio form with fixed denominator t_{d-1}(X_{V0}), and the
-    variant whose denominator depends on the augmenting set U.  The report
-    notes which of the two matches; they coincide exactly when V0 is
-    torsion-free.  The spanning forests V are walked on trent's tree, on
-    the pooled fold: the complements of the independent cycle-basis row
-    sets of size z, with the twin rows of CycleWeightContext.twins
-    carried alongside.  Every forest passes trent's leaf check
-    (_geometric_cycle_leaf), so t(X_V), taken as t0 times the twin
-    cokernel order, must match the cokernel order of the cycle rows outside
-    V; no Smith runs per forest.  The sums of t(X_V)^2 stay integers per
-    |V - V0| and are divided by t(X_V0)^2 once.  t(X_V0) and the
-    U-dependent denominators t(X_{V0+U}) come from the same twin rows, by
+    Cycle side: each spanning forest V weighs t(X_V)^2 / t(X_V0)^2, the
+    torsion-ratio form with the fixed denominator t_{d-1}(X_{V0}).  The
+    spanning forests V are walked on trent's tree, on the pooled fold: the
+    complements of the independent cycle-basis row sets of size z, with
+    the twin rows of CycleWeightContext.twins carried alongside.  Every
+    forest passes trent's leaf check (_geometric_cycle_leaf), so t(X_V),
+    taken as t0 times the twin cokernel order, must match the cokernel
+    order of the cycle rows outside V; no Smith runs per forest.  The sums
+    of t(X_V)^2 stay integers per |V - V0| and are divided by t(X_V0)^2
+    once; t(X_V0) comes from the same twin rows, by
     CycleWeightContext.torsion.
     Boundary side: weights are squared relative orders of (d+1, d) pairs,
-    taken by _pair_sums on the columns of V1.
+    taken by _pair_sums on the columns of V1; the report's stats name the
+    path it took.
     """
     if processes is None:
         processes = default_processes()
@@ -780,48 +777,18 @@ def verify_geometric_theorems(x, d, v0=None, v1=None, processes=None):
     basis = integral_cycle_basis(x, d)
     ctx = CycleWeightContext(x, d, basis)
     twins, t0 = ctx.twins
-    v0pos = set(x.positions(d, v0.members))
+    v0pos = frozenset(x.positions(d, v0.members))
     t_v0 = ctx.torsion(v0pos)
-    n = x.n_cells(d)
-    free_positions = [j for j in range(n) if j not in v0pos]
-    free_bit = {p: 1 << i for i, p in enumerate(free_positions)}
-    # {bitmask of V - V0: [sum of t(X_V)^2, forest count]}
+    # {|V - V0|: [sum of t(X_V)^2, forest count]}
     by_extension = independent_subset_gram_sums(
         [tuple(row) for row in basis.basis.data], z, processes,
-        partial(_geometric_cycle_leaf, t0, ctx.t_x, free_bit), twins, min_size=z)
-    sq_sums = [0] * (z + 1)  # by j = |V - V0|
-    found = [0] * (z + 1)
-    for mask, (sq, count) in by_extension.items():
-        j = mask.bit_count()
-        sq_sums[j] += sq
-        found[j] += count
+        partial(_geometric_cycle_leaf, t0, ctx.t_x, v0pos), twins, min_size=z)
+    sq_sums, found = zip(*(by_extension.get(j, (0, 0)) for j in range(z + 1)))
     rhs = {k: [Fraction(sum(comb(z - j, k - j) * sq_sums[j] for j in range(k + 1)),
                         t_v0 * t_v0),
                sum(comb(z - j, k - j) * found[j] for j in range(k + 1))]
            for k in range(z + 1)}
     rows = _rows(range(z + 1), lambda k: (-1) ** k * coeffs[z - k], rhs, "cycles")
-    notes = ["cycle closed form with denominator t(X_V0) matches: "
-             + str(all(row["pass"] for row in rows))]
-    if z <= 14:
-        # inner[U] = the sum of t(X_V)^2 over the masks inside U, for every
-        # U at once: one subset-sum pass over the 2^z masks
-        inner = [0] * (1 << z)
-        for mask, (sq, _) in by_extension.items():
-            inner[mask] = sq
-        for i in range(z):
-            bit = 1 << i
-            for u_mask in range(1 << z):
-                if u_mask & bit:
-                    inner[u_mask] += inner[u_mask ^ bit]
-        udep_rows = {k: Fraction(0) for k in range(z + 1)}
-        for u_mask in range(1 << z):
-            t_u = ctx.torsion([*v0pos, *(free_positions[i] for i in range(z)
-                                         if u_mask >> i & 1)])
-            udep_rows[u_mask.bit_count()] += Fraction(inner[u_mask], t_u * t_u)
-        for row in rows:
-            row["rhs_u_dependent_form"] = udep_rows[row["k"]]
-        notes.append("cycle closed form with U-dependent denominator matches: "
-                     + str(all(row["lhs"] == row["rhs_u_dependent_form"] for row in rows)))
 
     # --- boundary side ---------------------------------------------------
     g1 = geometric_boundary_basis(x, d, v1)
@@ -832,13 +799,11 @@ def verify_geometric_theorems(x, d, v0=None, v1=None, processes=None):
     # forest, so every subset of them is independent
     v1pos = x.positions(d + 1, v1.members)
     up_cols = _column_vectors(boundary_matrix_above(x, d))
-    rhs, collapsed = _pair_sums([up_cols[j] for j in v1pos], n, b, processes)
+    rhs, path = _pair_sums([up_cols[j] for j in v1pos], x.n_cells(d), b, processes)
     rhs[0] = [1, 0]
     rows += _rows(range(b + 1), lambda k: (-1) ** k * poly1.coefficient(b - k), rhs,
                   "boundaries")
-    if collapsed:
-        notes.append("boundary inner coforest sums collapsed via Cauchy-Binet")
-    return _report("geometric", d, rows, notes)
+    return _report("geometric", d, rows, stats={"path": path})
 
 
 # ---------------------------------------------------------------------------
@@ -854,6 +819,4 @@ def verify_covolume(x, d):
     t = torsion_order(x, d)
     lhs = covolume_squared(z) * t * t
     rows = _rows([0], lambda k: lhs, {0: [lift_gram(z, b), 0]})
-    return _report("covolume", d, rows,
-                   ["lhs = covol^2(cycles) * torsion^2; "
-                    "rhs = covol^2(boundaries) * homology covol^2"])
+    return _report("covolume", d, rows)

@@ -90,6 +90,18 @@ def double_torsion(monkeypatch):
     monkeypatch.setattr(CycleWeightContext, "twin_table", doubled)
 
 
+def double_v0_torsion(monkeypatch):
+    """Make CycleWeightContext.torsion return twice its value: geometric's
+    denominator t(X_V0) doubles, while the twin rows, and so every leaf's
+    t(X_V), stay."""
+    from cellmesh.forests import CycleWeightContext
+    torsion = CycleWeightContext.torsion
+
+    def doubled(ctx, positions):
+        return 2 * torsion(ctx, positions)
+    monkeypatch.setattr(CycleWeightContext, "torsion", doubled)
+
+
 def double_t_x(monkeypatch):
     """Make CycleWeightContext carry twice t(X), as a wrong t(X) would; the
     reduced boundary table and every t(X_W) are left alone."""
@@ -420,6 +432,45 @@ def torsion_subcomplex(ctx, positions):
     unit_cols = {col for col, _ in ctx.unit_rows}
     cols = [j for j in positions if j not in unit_cols]
     return invariant_factor_product([[row[j] for j in cols] for row in rows])
+
+
+def u_dependent_cycle_rhs(x, d, v0):
+    """Geometric's cycle side in the variant whose denominator depends on
+    the augmenting set U, as a list by k: the sum over the k-subsets U of
+    the cells outside V0 of the sum of t(X_V)^2 over the spanning forests V
+    with V - V0 inside U, divided by t(X_{V0+U})^2.  The verifier divides
+    by the fixed t(X_V0)^2 instead; the two forms coincide when V0 is
+    torsion-free and may differ when it is not.
+
+    The forests V are the complements of the independent z-sets of cycle
+    rows, from the engine with trent's twins, so t(X_V) is t0 times the
+    twin cokernel order; every denominator is a Smith form
+    (torsion_subcomplex).  One subset-sum pass over the 2^z sets U sums
+    the inner terms."""
+    from fractions import Fraction
+    from cellmesh.forests import CycleWeightContext
+    from cellmesh.homology import integral_cycle_basis
+    from cellmesh.spectra import independent_subsets
+    basis = integral_cycle_basis(x, d)
+    ctx = CycleWeightContext(x, d, basis)
+    twins, t0 = ctx.twins
+    z = basis.basis.cols
+    v0pos = x.positions(d, v0.members)
+    free = [p for p in range(x.n_cells(d)) if p not in v0pos]
+    bit = {p: 1 << i for i, p in enumerate(free)}
+    inner = [0] * (1 << z)  # by the bitmask of V - V0 over `free`
+    rows = [tuple(row) for row in basis.basis.data]
+    for chosen, _, _, twin_cok in independent_subsets(rows, z, twins=twins, min_size=z):
+        inner[(1 << z) - 1 - sum(bit.get(p, 0) for p in chosen)] += (t0 * twin_cok) ** 2
+    for i in range(z):
+        for u in range(1 << z):
+            if u >> i & 1:
+                inner[u] += inner[u ^ 1 << i]
+    rhs = [Fraction(0)] * (z + 1)
+    for u in range(1 << z):
+        t_u = torsion_subcomplex(ctx, [*v0pos, *(free[i] for i in range(z) if u >> i & 1)])
+        rhs[u.bit_count()] += Fraction(inner[u], t_u * t_u)
+    return rhs
 
 
 def pair_weight(cols, v_idx, w_idx):

@@ -63,7 +63,7 @@ def test_criterion_02_kirchhoff_k4(capsys):
     row = [r for r in report.rows if r["k"] == 3][0]
     elapsed = time.monotonic() - start
     ok = (report.passed and row["lhs"] == row["rhs"] == 64
-          and not report.notes)  # pair-sum path, not the collapsed one
+          and report.stats == {"path": "pairs"})  # not the collapsed path
     with capsys.disabled():
         _report(2, ok, 1.0, elapsed, f"sigma_3 = {row['lhs']} = 4 x 16 both ways")
 

@@ -6,7 +6,10 @@ of tests/data/bouquet_torsion.json stay byte-identical, so the weight parts
 of every forest (torsion_ratio and gram_factor) and of every coforest (u,
 v, f and gram_factor) are pinned.  The corpus cases have u = 1 throughout;
 the bouquet, a CW complex with torsion, has coforests with u > 1 and
-cokernel order > 1 at every k from 1 to 3.
+cokernel order > 1 at every k from 1 to 3.  The spanning and 1-augmented
+forests of tests/data/rp2_plus_face.json, the corpus rp2 plus the triangle
+1.2.5, are listed at d=2 only: 11 spanning forests, rp2 itself among them
+with torsion ratio 2 and weight 4.
 
 tests/data/forests_golden.json maps "complex d kind" (kind "forest",
 "augmented<k>", "coforest" or "reduced<k>") to [exit code, stdout,
@@ -29,6 +32,10 @@ RECORD = os.path.join(HERE, "data", "forests_golden.json")
 NAMES = ("k3", "k4", "theta", "p2", "moore_z2", "delta3", "sphere2")
 FILES = {**{name: os.path.join(CORPUS, f"{name}.json") for name in NAMES},
          "bouquet_torsion": os.path.join(HERE, "data", "bouquet_torsion.json")}
+# listed only at d=2: its d=1 listings would be K6's, and large
+TORSIONAL = ("rp2_plus_face 2 forest", "rp2_plus_face 2 augmented0",
+             "rp2_plus_face 2 augmented1")
+PATHS = {**FILES, "rp2_plus_face": os.path.join(HERE, "data", "rp2_plus_face.json")}
 
 
 def _argv(case):
@@ -38,7 +45,7 @@ def _argv(case):
     else:
         base = kind.rstrip("0123456789")
         flags = ["--kind", base, "--k", kind[len(base):]]
-    return ["forests", FILES[name], "--dim", d, *flags, "--with-weights"]
+    return ["forests", PATHS[name], "--dim", d, *flags, "--with-weights"]
 
 
 def _all_cases():
@@ -51,6 +58,7 @@ def _all_cases():
             yield f"{name} {d} coforest"
             for k in range(1, integral_boundary_basis(x, d).basis.cols):
                 yield f"{name} {d} reduced{k}"
+    yield from TORSIONAL
 
 
 def test_forests_match_record(capsys):

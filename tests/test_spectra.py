@@ -1,5 +1,6 @@
 """Mesh matrices, Laplacians, and the theorem verifiers on the corpus."""
 
+import os
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -7,7 +8,9 @@ from operator import mul
 
 import pytest
 
-from cellmesh.complexes import CellSubset, ComplexFormatError, boundary_matrix, simplex_id
+from cellmesh.cli import run
+from cellmesh.complexes import (CellSubset, ComplexFormatError, boundary_matrix, load_complex,
+                                simplex_id)
 from cellmesh.corpus import RP2_FACES
 from cellmesh.forests import (BoundaryWeightContext, CycleWeightContext, boundary_weight,
                               cycle_weight, enumerate_forests)
@@ -26,10 +29,10 @@ from cellmesh.spectra import (combinatorial_laplacian, geometric_boundary_basis,
                               weighted_laplacian)
 from cellmesh.torsion import verify_rf_identity
 from conftest import (dependent_twin, double_coforest_cok, double_engine_cok,
-                      double_one_gram_push, double_t_x, double_torsion, double_v_order,
-                      force_pool, kernel_weight_oracle, lose_one_coforest,
+                      double_one_gram_push, double_t_x, double_torsion, double_v0_torsion,
+                      double_v_order, force_pool, kernel_weight_oracle, lose_one_coforest,
                       perturb_reduced_table, random_unimodular, scale_unit_row,
-                      torsion_subcomplex, triple_interface_tail)
+                      torsion_subcomplex, triple_interface_tail, u_dependent_cycle_rhs)
 
 SMALL = [("k3", 1), ("k4", 1), ("theta", 1), ("p2", 1), ("delta3", 1),
          ("delta3", 2), ("delta3", 3), ("sphere2", 1), ("sphere2", 2),
@@ -217,17 +220,24 @@ def test_geometric_triangle_example(corpus):
 
 
 def test_geometric_closed_form_discrepancy_on_torsional_forest(corpus):
-    # with a torsion-free V0 the two closed forms coincide; choosing the
+    # with a torsion-free V0 the two closed forms coincide; choosing an
     # embedded projective-plane triangulation as V0 separates them: the
-    # fixed t(X_V0) denominator matches the Gram determinants, the
-    # U-dependent denominator does not
+    # cycles rows, whose denominator is the fixed t(X_V0), match the Gram
+    # coefficients, and the U-dependent denominator (u_dependent_cycle_rhs)
+    # does not.  rp2 plus the triangle 1.2.5 has one spanning forest with
+    # torsion (rp2) and shows both; delta5skel2 at d=2 shows the split
+    rp2_faces = [simplex_id(f) for f in RP2_FACES]
+    rp2_plus = load_complex(os.path.join(os.path.dirname(__file__), "data",
+                                         "rp2_plus_face.json"))
     d5 = corpus["delta5skel2"]
-    v0 = CellSubset(2, [simplex_id(f) for f in RP2_FACES])
-    report = verify_geometric_theorems(d5, 2, v0)
-    assert report.passed, [r for r in report.rows if not r["pass"]]
-    assert "cycle closed form with denominator t(X_V0) matches: True" in report.notes
-    assert ("cycle closed form with U-dependent denominator matches: False"
-            in report.notes)
+    for x, v0, torsional in ((rp2_plus, greedy_spanning_forest(rp2_plus, 2), False),
+                             (rp2_plus, CellSubset(2, rp2_faces), True),
+                             (d5, CellSubset(2, rp2_faces), True)):
+        report = verify_geometric_theorems(x, 2, v0)
+        assert report.passed, [r for r in report.rows if not r["pass"]]
+        lhs = [row["lhs"] for row in report.rows if row["side"] == "cycles"]
+        assert len(lhs) == integral_cycle_basis(x, 2).basis.cols + 1
+        assert (lhs != u_dependent_cycle_rhs(x, 2, v0)) == torsional, (x.name, v0.members)
 
 
 def test_geometric_default_v0_includes_torsion_weight(corpus):
@@ -291,7 +301,8 @@ def test_verifier_process_count_determinism(corpus, monkeypatch):
     # edges) and its collapsed boundary side (the 10 triangles of V1)
     assert entered == [15, 10, 15, 15, 10]
     for one, many in zip(serial, pooled):
-        assert one.passed and one.rows == many.rows and one.notes == many.notes
+        assert one.passed and one.rows == many.rows
+        assert one.to_json_dict() == many.to_json_dict()  # the stats too
 
 
 def test_geometric_rejects_doubled_torsion_in_the_pool(corpus, monkeypatch):
@@ -306,16 +317,36 @@ def test_geometric_rejects_doubled_torsion_in_the_pool(corpus, monkeypatch):
     assert type(info.value.__cause__).__name__ == "_RemoteTraceback"
 
 
+def test_geometric_rejects_a_doubled_v0_torsion(corpus, monkeypatch, capsys):
+    # CycleWeightContext.torsion gives geometric only its denominator
+    # t(X_V0): doubled there, every cycles row must fail while the leaves
+    # and the boundaries rows pass, serially, in the pool and on the CLI
+    double_v0_torsion(monkeypatch)
+    entered = force_pool(monkeypatch)
+    for processes in (1, 2):
+        report = verify_geometric_theorems(corpus["rp2"], 1, processes=processes)
+        sides = {(row["side"], row["pass"]) for row in report.rows}
+        assert sides == {("cycles", False), ("boundaries", True)}, processes
+        assert bool(entered) == (processes > 1)
+    monkeypatch.setenv("CELLMESH_PROCESSES", "1")
+    rp2 = os.path.join(os.path.dirname(__file__), "..", "corpus", "rp2.json")
+    code = run(["verify", rp2, "--theorem", "geometric", "--dim", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "verification failed: geometric d=1: row side=cycles k=0 lhs != rhs\n"
+
+
 def test_pair_leaf_process_count_determinism(corpus, monkeypatch):
     # the pair leaf of Kirchhoff and geometric's boundary side runs on the
-    # pooled fold: every row and note must match between 1 and 2 workers
+    # pooled fold: every row and the path must match between 1 and 2 workers
     entered = force_pool(monkeypatch)
     for name in ("k4", "rp2", "delta3"):
         for verify in (verify_kirchhoff_lyons, verify_geometric_theorems):
             one = verify(corpus[name], 1, processes=1)
             assert entered == []
             many = verify(corpus[name], 1, processes=2)
-            assert one.passed and one.rows == many.rows and one.notes == many.notes
+            assert one.passed and one.rows == many.rows
+            assert one.stats == many.stats, (name, verify.__name__)
             assert entered, (name, verify.__name__)
             entered.clear()
 
@@ -380,8 +411,8 @@ def test_pair_sums_collapse_only_above_the_pair_threshold(corpus, monkeypatch):
     # Kirchhoff and geometric's boundary side choose between the pair path
     # and the Cauchy-Binet collapse by one estimate, sum_m C(#columns, m) *
     # C(#rows, m) > _PAIR_THRESHOLD; pin the corpus cases that collapse.
-    # The enumeration is stubbed out: only the notes, which name the path,
-    # are read, and the full runs are pinned by criterion 6 and the CLI
+    # The enumeration is stubbed out: only stats.path, which names the
+    # path, is read, and the full runs are pinned by criterion 6 and the CLI
     # record
     import cellmesh.spectra as spectra
     monkeypatch.setattr(spectra, "independent_subset_gram_sums", lambda *args, **kw: {})
@@ -390,8 +421,9 @@ def test_pair_sums_collapse_only_above_the_pair_threshold(corpus, monkeypatch):
         for d in range(1, x.dimension + 1):
             for theorem, verify in (("kirchhoff", verify_kirchhoff_lyons),
                                     ("geometric", verify_geometric_theorems)):
-                notes = verify(x, d, processes=1).notes
-                if any("collapsed via Cauchy-Binet" in note for note in notes):
+                path = verify(x, d, processes=1).stats["path"]
+                assert path in ("pairs", "collapsed")
+                if path == "collapsed":
                     collapsed[theorem].append((name, d))
     assert collapsed == {"kirchhoff": [("delta5skel2", 2), ("rp2", 2)],
                          "geometric": [("delta5skel2", 1), ("rp2", 1)]}
@@ -755,7 +787,8 @@ def test_report_serialization_strings(corpus):
                                        "pass", "elapsed_ms"]
     assert rf.to_json_dict()["lhs"] == "1/4"
     assert rf.lhs == rf.rhs == Fraction(1, 4) and isinstance(rf.lhs, Fraction)
-    assert list(kalai.to_json_dict())[-3:] == ["pass", "elapsed_ms", "notes"]
+    assert list(kalai.to_json_dict()) == ["theorem", "dim", "rows", "pass", "elapsed_ms"]
+    assert list(trent.to_json_dict()) == ["theorem", "dim", "rows", "pass", "elapsed_ms"]
     det = next(row for row in kalai.rows if row["check"] == "determinant")
     assert isinstance(det["lhs"], Fraction) and det["lhs"] == det["rhs"]
     assert isinstance(kalai.rows[0]["lhs"], int)
