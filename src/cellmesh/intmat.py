@@ -589,15 +589,9 @@ def kernel_basis(a):
 
 
 def gram_det_of(vectors):
-    """det of the Gram matrix [<v_i, v_j>] of a list of integer vectors, each
-    dot product taken once and mirrored; 1 for no vectors."""
-    n = len(vectors)
-    gram = [[0] * n for _ in range(n)]
-    for i, vi in enumerate(vectors):
-        row = gram[i]
-        for j in range(i, n):
-            row[j] = gram[j][i] = sum(map(mul, vi, vectors[j]))
-    return det_bareiss(gram)
+    """det of the Gram matrix [<v_i, v_j>] of a list of integer vectors;
+    1 for no vectors."""
+    return det_bareiss([[sum(map(mul, vi, vj)) for vj in vectors] for vi in vectors])
 
 
 def gram_det(b):

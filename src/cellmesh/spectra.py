@@ -523,11 +523,13 @@ def _rows(ks, lhs, rhs, side=None):
     return rows
 
 
-def _report(theorem, d, rows, **fields):
-    """The report on `rows`, passing when every row passes; `fields` (the
-    stats of Kirchhoff and geometric) follow the rows."""
-    return VerificationReport({"theorem": theorem, "dim": d, "rows": rows, **fields},
-                              all(row["pass"] for row in rows))
+def _report(theorem, d, rows, stats=None):
+    """The report on `rows`, passing when every row passes; `stats` (given
+    by Kirchhoff and geometric) follows the rows."""
+    fields = {"theorem": theorem, "dim": d, "rows": rows}
+    if stats is not None:
+        fields["stats"] = stats
+    return VerificationReport(fields, all(row["pass"] for row in rows))
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,7 @@ that runs every corpus case serially and keeps the ones that finish within
 RECORD_LIMIT_S.  The recorded cases should stay within a budget of about
 20 s of wall time on one core (98 cases took about 1.3 s on a 2-CPU
 Xeon).  Which cases fall within the limit moves with the code and the
-machine, so compare the key sets after a rewrite: Kirchhoff on rp2 and
-delta5skel2 at d=1 and geometric on delta5skel2 at d=2 now finish within
-it but are not in the record.
+machine, so compare the key sets after a re-record.
 
 The recorded Kirchhoff and geometric cases whose forests are folded with
 the pair leaf (stats.path "pairs", at least one pair row) are replayed a
