@@ -47,33 +47,49 @@ class ForestCertificate:
 # Rank bookkeeping helpers.
 # ---------------------------------------------------------------------------
 
-def greedy_basis(vectors, order, target):
-    """(picked, cok): the positions, in `order`, of the vectors a greedy
-    pass keeps, each one that raises the rank until the rank reaches
-    `target`, and the cokernel order of the kept vectors, the product of
-    their tails' gcds (|det| when `target` vectors of length `target` are
-    kept).
+def greedy_basis(items, target):
+    """(picked, cok): the keys of the (key, vector) `items`, taken in
+    order, that a greedy pass keeps, each one whose vector raises the rank
+    until the rank reaches `target`, and the cokernel order of the kept
+    vectors, the product of their tails' gcds (|det| when `target` vectors
+    of length `target` are kept).
 
     A vector raises the rank when its tail, after the column operations
     that clear the kept vectors (_pivot_ops, as the enumeration engine
     runs them), is nonzero.  They are applied in place on one copy of
-    the vector."""
-    cleared = []
+    the vector.  When a kept tail has a 1 or -1, its operations only add
+    multiples of the pivot column, so they are kept as (column, multiple)
+    pairs, and a tail that is 0 at the pivot only loses that column."""
+    cleared = []  # (pivot column, pivot entry if 1 or -1 else 0, operations)
     picked = []
     cok = 1
-    for i in order:
-        if len(picked) == target:
-            break
-        if not any(vectors[i]):
+    if not target:
+        return picked, cok
+    for key, vector in items:
+        if not any(vector):
             continue
-        tail = list(vectors[i])
-        for p, ops in cleared:
-            _apply_pivot_ops_in_place(tail, p, ops)
+        tail = list(vector)
+        for p, a, ops in cleared:
+            if not a:
+                _apply_pivot_ops_in_place(tail, p, ops)
+                continue
+            sp = tail[p]
+            if sp:
+                for c, u in ops:
+                    tail[c] += u * sp
+            del tail[p]
         if any(tail):
-            picked.append(i)
+            picked.append(key)
             cok *= gcd(*tail)
-            if len(picked) < target:
-                cleared.append(_pivot_ops(tail))
+            if len(picked) == target:
+                break
+            a = 1 if 1 in tail else -1 if -1 in tail else 0
+            if a:
+                p = tail.index(a)
+                cleared.append((p, a, [(c, -a * b) for c, b in enumerate(tail) if b and c != p]))
+            else:
+                p, ops = _pivot_ops(tail)
+                cleared.append((p, 0, ops))
     return picked, cok
 
 
@@ -247,7 +263,7 @@ class CycleWeightContext:
                     dropped.add(q)
         if dropped:
             rows = [[a for q, a in enumerate(row) if q not in dropped] for row in rows]
-        picked, cok = greedy_basis(rows, range(len(rows)), len(rows))
+        picked, cok = greedy_basis(enumerate(rows), len(rows))
         if len(picked) < len(rows):
             raise AssertionError(f"cells {sorted(inside)} do not span the boundary "
                                  f"columns of {self.x.name} at d={self.d}")
@@ -302,12 +318,10 @@ class CycleWeightContext:
 class BoundaryWeightContext:
     """Cached data for boundary-mesh weights at one dimension.
 
+    `rows` are the n_d rows of the boundary basis A and `units` the b_d
+    unit rows, the passengers theorem 2 hands the enumeration engine.
     v(V,X) = |det A[V]| depends only on the spanning coforest V, so it is
-    memoized per sorted V (v_order).  The tails (see `tails`) of the last
-    coforest weighed are kept as a path stack of at most b_d + 1 levels;
-    the next one, in the engine's lexicographic order, is usually one push
-    away.  The stack is only a cache, so the results do not depend on the
-    order of calls, and a pool worker fills its own copy.
+    memoized per sorted V (v_order); a pool worker fills its own copy.
     """
 
     def __init__(self, x, d, basis):
@@ -317,10 +331,8 @@ class BoundaryWeightContext:
         self.d = d
         self.b_up = basis.basis.cols
         self.rows = _row_vectors(basis.basis)  # n_d rows of length b_d
+        self.units = [tuple(int(i == j) for j in range(self.b_up)) for i in range(self.b_up)]
         self._v = {}
-        units = [[int(i == j) for j in range(self.b_up)] for i in range(self.b_up)]
-        self._path = []  # the rows pushed, in order
-        self._levels = [(1, [list(row) for row in self.rows] + units)]  # (cok, tails)
 
     def v_order(self, v_positions):
         """v(V,X) = |det A[V]| for the sorted positions of V, memoized."""
@@ -330,65 +342,54 @@ class BoundaryWeightContext:
             v = self._v[key] = abs(det_bareiss([list(self.rows[p]) for p in key]))
         return v
 
-    def tails(self, positions):
-        """(cokernel order, tails) of the rows `positions` of the boundary
-        basis A, pushed in order by the engine's unimodular column
-        operations (_pivot_ops): each push clears the pushed row's tail to
-        one pivot column, applies the operations to the n_d rows of A and
-        the b_d unit rows, and drops the pivot column.  As the transform U
-        is unimodular, the unit rows' tails are then the rows of B'', a
-        saturated basis of ker A[W]; a row's tail is that row times B''; and
-        the product of the pivot gcds is the cokernel order of W's rows.
-        A zero pushed tail, dependent rows, raises AssertionError."""
-        path, levels = self._path, self._levels
-        i = 0
-        while i < len(path) and i < len(positions) and path[i] == positions[i]:
-            i += 1
-        del path[i:], levels[i + 1:]
-        for p in positions[i:]:
-            cok, tails = levels[-1]
-            pivot = tails[p]
+    def frame(self, positions):
+        """(cokernel order, frame) of the rows `positions` of A, pushed in
+        order by the engine's unimodular column operations (_pivot_ops):
+        each push clears the pushed row's tail to one pivot column, applies
+        the operations to the other rows of A and to the unit rows, and
+        drops the pivot column.  The frame is the one the engine hands
+        theorem 2's leaf (spectra.independent_subsets with the unit rows
+        as passengers): (rows, units), the (index, tail) of the rows
+        outside W and the (position, tail) of the unit rows whose tails
+        are nonzero.  As the transform U is unimodular, the unit rows'
+        tails are the rows of B'', a saturated basis of ker A[W]; a row's
+        tail is that row times B''; and the product of the pivot gcds is
+        the cokernel order of W's rows.  A zero pushed tail, dependent
+        rows, raises AssertionError."""
+        inside = set(positions)
+        pushed = [list(self.rows[p]) for p in positions]
+        rows = [(p, list(row)) for p, row in enumerate(self.rows) if p not in inside]
+        units = [(i, list(row)) for i, row in enumerate(self.units)]
+        cok = 1
+        for i, pivot in enumerate(pushed):
             if not any(pivot):
                 raise AssertionError(f"rows {list(positions)} are dependent")
             q, ops = _pivot_ops(pivot)
-            # a zero tail (a row pushed already, or one dependent on them)
-            # stays zero and only loses the pivot column
-            tails = [_apply_pivot_ops_in_place(list(t), q, ops) if any(t) else t[1:]
-                     for t in tails]
-            levels.append((cok * gcd(*pivot), tails))
-            path.append(p)
-        return levels[-1]
+            cok *= gcd(*pivot)
+            for row in pushed[i + 1:] + [t for _, t in rows + units]:
+                _apply_pivot_ops_in_place(row, q, ops)
+        return cok, ([(p, t) for p, t in rows if any(t)], [(i, t) for i, t in units if any(t)])
 
-    def weigh(self, positions, gram, cok):
+    def weigh(self, positions, gram, cok, frame):
         """Theorem 2's identity on the k-reduced spanning coforest W with
-        these sorted row positions, Gram determinant `gram` and cokernel
-        order `cok` (the engine's at theorem 2's leaf); returns the weight
-        parts u, v, f and gram_factor, or raises AssertionError.
+        these sorted row positions, Gram determinant `gram`, cokernel
+        order `cok` and frame (rows, units) as the engine yields them (see
+        `frame`); returns (u, v, gram_factor), or raises AssertionError.
 
-        The cokernel order of W's tails must equal `cok`.  At theorem 2's
-        leaf the engine reached `cok` by the same column operations on the
-        same rows, so there this only checks that the path stack, a cache,
-        matches the engine; boundary_weight passes a Smith product, a
-        second route.  Greedy passes over the other rows' tails pick a
-        containing spanning coforest V = W + S; u(W,V) = |det(A[S] B'')| is
-        the product of their pivot gcds and v(V,X) a Bareiss determinant.
-        A[V] U is block triangular (W's rows are triangular on the pivot
-        columns, with the pivot gcds on the diagonal, and zero on B''), so
-        cok u = v is checked, and so is the relative-order form
-        gram u^2 = v^2 det(B''^t B''); these two hold v, from Bareiss, and
-        the engine's gram against the tails.  f(W) = u/v must not change
-        with a second containing coforest.
+        Greedy passes over the tails of the rows outside W pick a
+        containing spanning coforest V = W + S; u(W,V) = |det(A[S] B'')|
+        is the product of their pivot gcds and v(V,X) a Bareiss
+        determinant.  A[V] U is block triangular (W's rows are triangular
+        on the pivot columns, with the pivot gcds on the diagonal, and zero
+        on B''), so cok u = v is checked, and so is the relative-order
+        form gram u^2 = v^2 det(B''^t B''); these two hold v, from Bareiss,
+        and the engine's gram and cokernel order against the tails.
+        f(W) = u/v must not change with a second containing coforest.
         """
         k = self.b_up - len(positions)
-        order, tails = self.tails(positions)
-        if order != cok:
-            raise AssertionError(f"boundary weight mismatch on rows {list(positions)}: "
-                                 f"cokernel order {order} of the tails != {cok}")
-        n = len(self.rows)
-        gram_factor = gram_det_of(list(zip(*tails[n:])))
-        pos_set = set(positions)
-        rest = [p for p in range(n) if p not in pos_set]
-        s1, u1 = greedy_basis(tails, rest, k)
+        rows, units = frame
+        gram_factor = gram_det_of(list(zip(*(tail for _, tail in units))))
+        s1, u1 = greedy_basis(rows, k)
         vv1 = self._containing_order(positions, s1)
         if cok * u1 != vv1:
             raise AssertionError(f"boundary weight mismatch on rows {list(positions)}: "
@@ -396,19 +397,20 @@ class BoundaryWeightContext:
         if gram * u1 * u1 != vv1 * vv1 * gram_factor:
             raise AssertionError(f"boundary weight mismatch on rows {list(positions)}: "
                                  f"{gram} * {u1}^2 != {vv1}^2 * {gram_factor}")
-        s2, u2 = greedy_basis(tails, rest[::-1], k)
+        s2, u2 = greedy_basis(reversed(rows), k)
         if set(s2) != set(s1):
             vv2 = self._containing_order(positions, s2)
             if u1 * vv2 != u2 * vv1:
                 raise AssertionError(
                     f"f(W) depends on the containing coforest: {u1}/{vv1} vs {u2}/{vv2}")
-        return {"u": u1, "v": vv1, "f": Fraction(u1, vv1), "gram_factor": gram_factor}
+        return u1, vv1, gram_factor
 
     def _containing_order(self, w_positions, interface):
         """v(V,X) for the spanning coforest V = W + interface."""
         if len(w_positions) + len(interface) != self.b_up:
             raise AssertionError("no containing spanning coforest exists")
-        v = self.v_order(sorted([*w_positions, *interface]))
+        key = tuple(sorted([*w_positions, *interface]))
+        v = self._v.get(key) or self.v_order(key)
         if v == 0:
             raise AssertionError("degenerate containing coforest")
         return v
@@ -455,10 +457,13 @@ def boundary_weight(x, d, subset, basis, ctx=None):
 
     (i) directly as the Gram determinant of the boundary-basis rows indexed
     by the subset, and (ii) in the relative-order form of
-    BoundaryWeightContext.weigh, which must agree.  The cokernel order
-    weigh checks its tails against is the invariant-factor product (a
-    Smith reduction) of the same rows.  A subset whose rows are dependent
-    (Gram determinant 0), oversized ones included, is a ComplexFormatError.
+    BoundaryWeightContext.weigh, which must agree, on the frame of one
+    push of the subset's rows (BoundaryWeightContext.frame).  The cokernel
+    order weigh checks against is the invariant-factor product (a Smith
+    reduction) of the same rows, and it must equal the push's.  A subset
+    whose rows are dependent (Gram determinant 0), oversized ones
+    included, is a ComplexFormatError.  The parts are u, v, f = u/v and
+    gram_factor.
     """
     if ctx is None:
         ctx = BoundaryWeightContext(x, d, basis)
@@ -467,7 +472,12 @@ def boundary_weight(x, d, subset, basis, ctx=None):
     if direct == 0:
         raise ComplexFormatError("subset is not a k-reduced spanning coforest")
     cok = invariant_factor_product([list(ctx.rows[p]) for p in pos])
+    order, frame = ctx.frame(pos)
+    if order != cok:
+        raise AssertionError(f"boundary weight mismatch on rows {pos}: "
+                             f"cokernel order {order} of the tails != {cok}")
+    u, v, gram_factor = ctx.weigh(pos, direct, cok, frame)
     k = ctx.b_up - len(pos)
     return ForestCertificate(subset, "k_reduced_coforest" if k else "spanning_coforest",
-                             k if k else None, direct, ctx.weigh(pos, direct, cok))
-
+                             k if k else None, direct,
+                             {"u": u, "v": v, "f": Fraction(u, v), "gram_factor": gram_factor})

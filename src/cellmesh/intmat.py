@@ -60,9 +60,7 @@ class IntMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         bt = [[other.data[i][j] for i in range(other.rows)] for j in range(other.cols)]
-        out = []
-        for arow in self.data:
-            out.append([sum(a * b for a, b in zip(arow, bcol)) for bcol in bt])
+        out = [[sum(map(mul, arow, bcol)) for bcol in bt] for arow in self.data]
         return IntMatrix(self.rows, other.cols, out)
 
     def submatrix(self, row_idx, col_idx):
@@ -115,9 +113,7 @@ class RatMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         bt = [[other.data[i][j] for i in range(other.rows)] for j in range(other.cols)]
-        out = []
-        for arow in self.data:
-            out.append([sum(a * b for a, b in zip(arow, bcol)) for bcol in bt])
+        out = [[sum(map(mul, arow, bcol)) for bcol in bt] for arow in self.data]
         return RatMatrix(self.rows, other.cols, out)
 
 
@@ -542,8 +538,9 @@ def _pivot_ops(tail):
         p = tail.index(1)
     elif -1 in tail:
         p = tail.index(-1)
-    else:
-        p = min((i for i, a in enumerate(tail) if a), key=lambda i: abs(tail[i]))
+    else:  # the first column of least nonzero |entry|
+        sizes = list(map(abs, tail))
+        p = sizes.index(min(filter(None, sizes)))
     a = tail[p]
     ops = []
     for c, b in enumerate(tail):
@@ -590,8 +587,15 @@ def kernel_basis(a):
 
 def gram_det_of(vectors):
     """det of the Gram matrix [<v_i, v_j>] of a list of integer vectors;
-    1 for no vectors."""
-    return det_bareiss([[sum(map(mul, vi, vj)) for vj in vectors] for vi in vectors])
+    1 for no vectors.  Each dot product is taken once, for the upper
+    triangle, and mirrored."""
+    n = len(vectors)
+    gram = [[0] * n for _ in range(n)]
+    for i, vi in enumerate(vectors):
+        row = gram[i]
+        for j in range(i, n):
+            row[j] = gram[j][i] = sum(map(mul, vi, vectors[j]))
+    return det_bareiss(gram)
 
 
 def gram_det(b):

@@ -20,7 +20,11 @@ contraction by a pivot whose tail has a 1 or -1 only adds multiples of the
 pivot column, so a tail that is 0 there skips it.  A caller may hand the
 engine one twin row per vector; each twin is contracted alongside by its
 own Hermite tail, gives a second cokernel order, and its zero tail is a
-third rank route.  At each subset trent checks the cokernel-order identity
+third rank route.  Theorem 2 hands it the b_d unit rows as passengers:
+they and the rows not chosen are carried by the same column operations,
+and each coforest comes with its frame, the nonzero tails of the rows
+outside it and of the unit rows (_boundary_leaf_check).  At each subset
+trent checks the cokernel-order identity
 (_trent_leaf_check): the torsion ratio t(X_W)/t(X), taken on the boundary
 side as t0 times the twin cokernel order of the reduced boundary table
 (CycleWeightContext.twin_table), must equal the engine's cokernel order of
@@ -155,7 +159,7 @@ def greedy_spanning_forest(x, d):
     bd = boundary_matrix(x, d)
     ids = x.cell_ids(d)
     return CellSubset(d, [ids[j] for j in
-                          greedy_basis(_column_vectors(bd), range(bd.cols), rank(bd))[0]])
+                          greedy_basis(enumerate(_column_vectors(bd)), rank(bd))[0]])
 
 
 def geometric_cycle_basis(x, d, v0):
@@ -236,7 +240,7 @@ def gram_state_push(gram, pivot, t, row, later):
     return out
 
 
-def _contract(gram, pivot, cands):
+def _contract(gram, pivot, cands, step=None):
     """The candidates after a pivot, contracted by it.
 
     `pivot` is the chosen candidate and `gram` the Gram determinant of the
@@ -255,10 +259,11 @@ def _contract(gram, pivot, cands):
     as the pivot's gcd is 1, its cokernel order.  A candidate that
     becomes dependent is dropped; its zero Gram determinant, its zero tail
     (cokernel order 0) and its zero twin are independent rank routes and
-    must agree.
+    must agree.  `step` is _pivot_step of the pivot's tail when the caller
+    has taken it already, to carry passengers by the same operations.
     """
     _, prow, ptail, ptwin, pcok, ptwin_cok = pivot
-    p, a, ops = _pivot_step(ptail)
+    p, a, ops = step or _pivot_step(ptail)
     if ptwin is not None:
         tp, ta, tops = _pivot_step(ptwin)
     out = []
@@ -322,7 +327,41 @@ def _pivot_step(tail):
     return p, 0, ops
 
 
-def independent_subsets(vectors, max_size=None, first=None, twins=None, min_size=1):
+def _carry(ptail, step, *groups):
+    """Passenger rows through a pivot: each group a list of (j, tail),
+    each tail through the column operations that clear the pivot's tail
+    `ptail`, with the pivot column dropped, as _contract takes its
+    candidates' tails; `step` is _pivot_step(ptail), which _contract
+    shares.  Returns the groups with only the passengers whose tail stays
+    nonzero, in order."""
+    p, a, ops = step
+    if a:
+        ops = [(c, -a * b) for c, b in enumerate(ptail) if b and c != p]
+    out = []
+    for group in groups:
+        kept = []
+        for j, tail in group:
+            sp = tail[p]
+            if a and not sp:  # only the pivot column goes, and a nonzero is left
+                kept.append((j, tail[:p] + tail[p + 1:]))
+                continue
+            tail = list(tail)
+            if a:
+                for c, u in ops:
+                    tail[c] += u * sp
+            else:
+                for c, x, y, u, v in ops:
+                    sc = tail[c]
+                    sp, tail[c] = x * sp + y * sc, u * sp + v * sc
+            del tail[p]
+            if any(tail):
+                kept.append((j, tail))
+        out.append(kept)
+    return out
+
+
+def independent_subsets(vectors, max_size=None, first=None, twins=None, min_size=1,
+                        passengers=None):
     """Every linearly independent subset of `vectors` with at least
     `min_size` and at most `max_size` members, as (sorted index tuple, Gram
     determinant, cokernel order), in lexicographic DFS order; among the
@@ -374,11 +413,29 @@ def independent_subsets(vectors, max_size=None, first=None, twins=None, min_size
     With `first` set only the subsets whose smallest index is `first` are
     visited, so the runs for first = 0, 1, ... split the enumeration in
     order.
+
+    `passengers`, when given, holds extra rows as long as the vectors
+    (theorem 2's unit rows).  They ride along: at each push their tails
+    go through the pivot's column operations beside the candidates'
+    (_carry), and so do the rows outside the subset.  The earlier
+    candidates of a frame that were not chosen become riders of the
+    subtree to their right, and with `first` set the nonzero vectors
+    before `first` start as riders.  Every subset is then yielded with a
+    last entry, its frame (rows, units): rows the (index, tail) of the
+    vectors outside the subset whose tail is nonzero, in index order,
+    units the (position, tail) of the passengers whose tail is nonzero.
+    The tails are shared with the engine, so a caller must not change
+    them.  Passengers keep the vectors' coordinates: their tails do not
+    start in Hermite-reduced ones.
     """
     n = len(vectors)
     cap = n if max_size is None else max_size
     if min_size == 0 and first is None:
-        yield ((), 1, 1) if twins is None else ((), 1, 1, 1)
+        empty = ((), 1, 1) if twins is None else ((), 1, 1, 1)
+        if passengers is not None:
+            empty += (([(j, list(v)) for j, v in enumerate(vectors) if any(v)],
+                       [(i, list(v)) for i, v in enumerate(passengers) if any(v)]),)
+        yield empty
     if cap < max(min_size, 1):
         return
     lo = 0 if first is None else first
@@ -390,7 +447,8 @@ def independent_subsets(vectors, max_size=None, first=None, twins=None, min_size
         if independent:
             live.append(j)
     tails = [list(vectors[j]) for j in live]
-    if live and len(tails[0]) > cap:
+    riding = passengers is not None
+    if live and len(tails[0]) > cap and not riding:
         # Hermite-reduced coordinates.  Rows as long as the cap are left
         # alone: there the reduction only costs.  The pair leaf's rows are
         # such, and it runs the engine once per forest; reducing them too
@@ -408,12 +466,16 @@ def independent_subsets(vectors, max_size=None, first=None, twins=None, min_size
                     cok, None if twin is None else gcd(*twin)))
     stop = n if first is None else first + 1  # bound on the smallest index
     # a frame: its candidates, the next position, the end of its visit, and
-    # the Gram determinant of the prefix its candidates are reduced against
-    frames = [[top, 0, sum(1 for cand in top if cand[0] < stop), 1]]
+    # the Gram determinant of the prefix its candidates are reduced against,
+    # and with passengers (riders, passengers' tails) reduced against it too
+    rides = None if not riding else (
+        [(j, list(vectors[j])) for j in range(lo) if any(vectors[j])],
+        [(i, list(v)) for i, v in enumerate(passengers) if any(v)])
+    frames = [[top, 0, sum(1 for cand in top if cand[0] < stop), 1, rides]]
     chosen = []
     while True:
         frame = frames[-1]
-        cands, pos, limit, gram = frame
+        cands, pos, limit, gram, rides = frame
         if pos == limit or len(chosen) + len(cands) - pos < min_size:
             frames.pop()
             if not frames:
@@ -424,6 +486,29 @@ def independent_subsets(vectors, max_size=None, first=None, twins=None, min_size
         cand = cands[pos]
         row = cand[1]
         chosen.append(cand[0])
+        if riding:
+            # the frame of the subset: the riders and the candidates before
+            # the pivot, then the later candidates, all contracted by it
+            behind = rides[0] + [(c[0], c[2]) for c in cands[:pos]]
+            later = cands[pos + 1:]
+            step = _pivot_step(cand[2])
+            if len(chosen) < cap and later:
+                kids = _contract(gram, cand, later, step)
+                riders, units = _carry(cand[2], step, behind, rides[1])
+                ahead = [(kid[0], kid[2]) for kid in kids]
+            else:
+                kids = None
+                riders, units, ahead = _carry(cand[2], step, behind, rides[1],
+                                              [(c[0], c[2]) for c in later])
+            if len(chosen) >= min_size:
+                found = (tuple(chosen), row[0], cand[4]) if twins is None else \
+                    (tuple(chosen), row[0], cand[4], cand[5])
+                yield found + ((riders + ahead, units),)
+            if kids:
+                frames.append([kids, 0, len(kids), row[0], (riders, units)])
+            else:
+                chosen.pop()
+            continue
         if len(chosen) >= min_size:
             if twins is None:
                 yield tuple(chosen), row[0], cand[4]
@@ -431,7 +516,7 @@ def independent_subsets(vectors, max_size=None, first=None, twins=None, min_size
                 yield tuple(chosen), row[0], cand[4], cand[5]
         if len(chosen) < cap and pos + 1 < len(cands):
             kids = _contract(gram, cand, cands[pos + 1:])
-            frames.append([kids, 0, len(kids), row[0]])
+            frames.append([kids, 0, len(kids), row[0], None])
         else:
             chosen.pop()
 
@@ -442,7 +527,7 @@ _POOL_MIN_SUBSETS = 120_000
 
 
 def independent_subset_gram_sums(vectors, rank_cap, processes, leaf, twins=None,
-                                 min_size=1):
+                                 min_size=1, passengers=None):
     """The one pooled leaf fold: {key: [sum, count]} over the independent
     subsets of `vectors` with at least `min_size` and at most `rank_cap`
     members, `rank_cap` bounding the rank of `vectors`.
@@ -450,17 +535,18 @@ def independent_subset_gram_sums(vectors, rank_cap, processes, leaf, twins=None,
     `leaf(index tuple, gram, cokernel order)` runs at every subset, raises
     on a failed identity and returns (key, summand, count); it must be
     picklable.  With `twins` (see independent_subsets) the leaf also gets
-    the twin cokernel order as a fourth argument.  The subsets are split by
+    the twin cokernel order as a fourth argument, and with `passengers` the
+    subset's frame as its last argument.  The subsets are split by
     smallest index over `processes` workers when processes > 1 and
     sum_{j <= rank_cap} C(n, j) > _POOL_MIN_SUBSETS; the result is the same
     for any process count.
     """
     n = len(vectors)
     if processes > 1 and sum(comb(n, j) for j in range(rank_cap + 1)) > _POOL_MIN_SUBSETS:
-        tasks = [(vectors, rank_cap, i, leaf, twins, min_size) for i in range(n)]
+        tasks = [(vectors, rank_cap, i, leaf, twins, min_size, passengers) for i in range(n)]
         parts = _run_parallel(_fold, tasks, processes)
     else:
-        parts = [_fold((vectors, rank_cap, None, leaf, twins, min_size))]
+        parts = [_fold((vectors, rank_cap, None, leaf, twins, min_size, passengers))]
     total = {}
     for part in parts:
         for key, (s, c) in part.items():
@@ -471,9 +557,9 @@ def independent_subset_gram_sums(vectors, rank_cap, processes, leaf, twins=None,
 
 
 def _fold(args):
-    vectors, rank_cap, first, leaf, twins, min_size = args
+    vectors, rank_cap, first, leaf, twins, min_size, passengers = args
     out = {}
-    for found in independent_subsets(vectors, rank_cap, first, twins, min_size):
+    for found in independent_subsets(vectors, rank_cap, first, twins, min_size, passengers):
         key, summand, count = leaf(*found)
         acc = out.setdefault(key, [0, 0])
         acc[0] += summand
@@ -598,20 +684,19 @@ def verify_theorem1(x, d, basis=None, processes=None):
 # Theorem 2: boundary mesh matrix vs k-reduced spanning coforests.
 # ---------------------------------------------------------------------------
 
-def _boundary_leaf_check(ctx, chosen, gram, cok):
+def _boundary_leaf_check(ctx, chosen, gram, cok, frame):
     """Theorem 2's leaf check: the rows `chosen` of the boundary matrix are
     a k-reduced spanning coforest W with the engine's Gram determinant
-    `gram` and cokernel order `cok`.  BoundaryWeightContext.weigh replays
-    W's pushes on its path stack of Hermite tails, checks that the stack's
-    cokernel order is `cok` (the same column operations as the engine's,
-    so a check of the cache), and checks two identities against the
-    tails: cok u = v (A[V] U is block triangular) and
+    `gram`, cokernel order `cok` and frame, the tails of the rows outside
+    W and of the unit rows, carried by the engine as passengers.
+    BoundaryWeightContext.weigh checks two identities against the tails:
+    cok u = v (A[V] U is block triangular) and
     gram u^2 = v^2 det(B''^t B''), where V is a greedy containing
     coforest, u the determinant of its interface rows' tails,
     v = |det A[V]| by Bareiss and B'' the unit rows' tails, a saturated
     basis of ker A[W].  No kernel is solved per leaf.
     Returns the fold's (subset size, gram, 1)."""
-    ctx.weigh(chosen, gram, cok)
+    ctx.weigh(chosen, gram, cok, frame)
     return len(chosen), gram, 1
 
 
@@ -621,9 +706,9 @@ def verify_theorem2(x, d, basis=None, processes=None):
 
     The coforests are the independent row subsets of the boundary matrix,
     and a coforest's weight is the engine's Gram determinant of its rows.
-    Every one must pass _boundary_leaf_check: the path stack of tails
-    that BoundaryWeightContext.weigh keeps must match the engine's
-    cokernel order, that order times u(W,V) must equal v(V,X), and the
+    The engine carries the b_d unit rows as passengers, so every coforest
+    comes with its frame, and every one must pass _boundary_leaf_check:
+    the engine's cokernel order times u(W,V) must equal v(V,X), and the
     weight must equal its relative-order form.
     """
     if processes is None:
@@ -635,7 +720,8 @@ def verify_theorem2(x, d, basis=None, processes=None):
     b = basis.basis.cols
     ctx = BoundaryWeightContext(x, d, basis)
     sums = independent_subset_gram_sums(ctx.rows, b, processes,
-                                        partial(_boundary_leaf_check, ctx))
+                                        partial(_boundary_leaf_check, ctx),
+                                        passengers=ctx.units)
     rhs = {b - size: acc for size, acc in sums.items()}
     rhs[b] = [1, 0]
     rows = _rows(range(b, -1, -1), lambda k: (-1) ** (b - k) * poly.coefficient(k), rhs)

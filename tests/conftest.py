@@ -167,30 +167,32 @@ def double_v_order(monkeypatch):
 def double_engine_cok(monkeypatch):
     """Make BoundaryWeightContext.weigh see twice the cokernel order its
     caller hands it, as an engine with a wrong Hermite tail would give
-    theorem 2's leaf; the context's own tails, u and v are left alone."""
+    theorem 2's leaf; the frame, u and v are left alone, so cok u = v
+    fails."""
     from cellmesh.forests import BoundaryWeightContext
     weigh = BoundaryWeightContext.weigh
     monkeypatch.setattr(BoundaryWeightContext, "weigh",
-                        lambda ctx, positions, gram, cok: weigh(ctx, positions, gram, 2 * cok))
+                        lambda ctx, positions, gram, cok, frame:
+                        weigh(ctx, positions, gram, 2 * cok, frame))
 
 
 def triple_interface_tail(monkeypatch):
-    """Make BoundaryWeightContext.tails return, in a copy, three times the
-    first nonzero tail of a row outside W.  The first greedy pass always
-    keeps that row, so u(W,V) triples while the interface, the cokernel
-    order of the tails, B'' and v(V,X) stay; the path stack is untouched."""
+    """Make BoundaryWeightContext.weigh see, in a copy of its frame, three
+    times the first tail of a row outside W.  The frame holds only nonzero
+    tails, so the first greedy pass always keeps that row when k > 0:
+    u(W,V) triples while the interface, the cokernel order, B'' and
+    v(V,X) stay, and cok u = v fails.  The engine's own tails are
+    untouched."""
     from cellmesh.forests import BoundaryWeightContext
-    tails = BoundaryWeightContext.tails
+    weigh = BoundaryWeightContext.weigh
 
-    def tripled(ctx, positions):
-        cok, rows = tails(ctx, positions)
-        rows = list(rows)
-        p = next((p for p in range(len(ctx.rows)) if p not in positions and any(rows[p])),
-                 None)
-        if p is not None:
-            rows[p] = [3 * a for a in rows[p]]
-        return cok, rows
-    monkeypatch.setattr(BoundaryWeightContext, "tails", tripled)
+    def tripled(ctx, positions, gram, cok, frame):
+        rows, units = frame
+        if rows:
+            (j, tail), *rest = rows
+            rows = [(j, [3 * a for a in tail]), *rest]
+        return weigh(ctx, positions, gram, cok, (rows, units))
+    monkeypatch.setattr(BoundaryWeightContext, "weigh", tripled)
 
 
 def _patch_coforest_walks(monkeypatch, change):
@@ -202,8 +204,8 @@ def _patch_coforest_walks(monkeypatch, change):
     import cellmesh.spectra as spectra
     walk = spectra.independent_subsets
 
-    def changed(vectors, max_size=None, first=None, twins=None, min_size=1):
-        found = walk(vectors, max_size, first, twins, min_size)
+    def changed(vectors, max_size=None, first=None, twins=None, min_size=1, passengers=None):
+        found = walk(vectors, max_size, first, twins, min_size, passengers)
         return change(found) if twins is None and min_size == max_size else found
     monkeypatch.setattr(spectra, "independent_subsets", changed)
 
@@ -529,7 +531,7 @@ def kernel_weight_oracle(ctx, positions):
     inside = set(positions)
     images = {p: [sum(a * b for a, b in zip(row, col)) for col in bprime]
               for p, row in enumerate(ctx.rows) if p not in inside}
-    interface = greedy_basis(images, list(images), k)[0]
+    interface = greedy_basis(images.items(), k)[0]
     u = abs(det_bareiss([list(images[p]) for p in interface]))
     v = abs(det_bareiss([list(ctx.rows[p]) for p in sorted([*positions, *interface])]))
     return {"u": u, "v": v, "f": Fraction(u, v), "gram_factor": gram_det_of(bprime)}

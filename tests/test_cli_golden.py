@@ -1,15 +1,15 @@
 """`cellmesh verify` against a recorded run: stdout, stderr and exit code of
-every bundled corpus case that took about a second or less stay byte-
-identical.
+every bundled corpus case but the seven in LEFT_OUT stay byte-identical.
 
 tests/data/verify_golden.json maps "complex theorem d" (d is "-" for rf) to
 [exit code, stdout, stderr].  Rewrite it only when an output change is
 intended, with `PYTHONPATH=src python tests/test_cli_golden.py --record`:
-that runs every corpus case serially and keeps the ones that finish within
-RECORD_LIMIT_S.  The recorded cases should stay within a budget of about
-20 s of wall time on one core (98 cases took about 1.3 s on a 2-CPU
-Xeon).  Which cases fall within the limit moves with the code and the
-machine, so compare the key sets after a re-record.
+that runs the recorded cases serially, in the record's order, and prints
+each one's time to stderr.  The case list is fixed, so a re-record keeps
+the record's keys however fast the code or the machine is.  LEFT_OUT
+holds the cases that took well over a second when the list was fixed;
+the recorded cases should stay within a budget of about 20 s of wall
+time on one core (98 cases took about 1.3 s on a 2-CPU Xeon).
 
 The recorded Kirchhoff and geometric cases whose forests are folded with
 the pair leaf (stats.path "pairs", at least one pair row) are replayed a
@@ -31,8 +31,10 @@ from cellmesh.complexes import load_complex
 HERE = os.path.dirname(os.path.abspath(__file__))
 CORPUS = os.path.join(HERE, "..", "corpus")
 RECORD = os.path.join(HERE, "data", "verify_golden.json")
-RECORD_LIMIT_S = 1.0
 THEOREMS = ("trent", "boundary", "kirchhoff", "geometric", "covolume")
+LEFT_OUT = ("delta5skel2 trent 2", "delta5skel2 boundary 1", "delta5skel2 kirchhoff 1",
+            "delta5skel2 kirchhoff 2", "delta5skel2 geometric 2", "rp2 boundary 1",
+            "rp2 kirchhoff 1")
 
 
 def _argv(case):
@@ -41,14 +43,16 @@ def _argv(case):
     return argv if d == "-" else argv + ["--dim", d]
 
 
-def _all_cases():
+def _cases():
+    """The recorded cases: every corpus case but LEFT_OUT, in file order."""
     for fname in sorted(os.listdir(CORPUS)):
         name = fname[:-len(".json")]
         top = load_complex(os.path.join(CORPUS, fname)).dimension
-        for theorem in THEOREMS:
-            for d in range(0 if theorem == "covolume" else 1, top + 1):
-                yield f"{name} {theorem} {d}"
-        yield f"{name} rf -"
+        cases = [f"{name} {theorem} {d}" for theorem in THEOREMS
+                 for d in range(0 if theorem == "covolume" else 1, top + 1)]
+        for case in cases + [f"{name} rf -"]:
+            if case not in LEFT_OUT:
+                yield case
 
 
 def _invoke(case, capsys):
@@ -75,6 +79,15 @@ def _runs_pair_leaf(case, expected):
             and any(row["k"] >= 1 for row in doc["rows"] if row.get("side") != "cycles"))
 
 
+def test_record_keys_are_the_case_list():
+    # the record holds exactly the fixed case list, in its order, and
+    # every case left out is a corpus case
+    assert list(_load_record()) == list(_cases())
+    assert len(_load_record()) == 98
+    assert {case.split()[0] for case in LEFT_OUT} <= {
+        fname[:-len(".json")] for fname in os.listdir(CORPUS)}
+
+
 def test_verify_matches_record(capsys, monkeypatch):
     monkeypatch.setenv("CELLMESH_PROCESSES", "1")
     for case, expected in _load_record().items():
@@ -97,15 +110,13 @@ def _record():
     import io
     os.environ["CELLMESH_PROCESSES"] = "1"
     record = {}
-    for case in _all_cases():
+    for case in _cases():
         out, err = io.StringIO(), io.StringIO()
         start = time.monotonic()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run(_argv(case))
-        elapsed = time.monotonic() - start
-        print(f"{elapsed:7.3f} s  {case}", file=sys.stderr)
-        if elapsed <= RECORD_LIMIT_S:
-            record[case] = [code, out.getvalue(), err.getvalue()]
+        print(f"{time.monotonic() - start:7.3f} s  {case}", file=sys.stderr)
+        record[case] = [code, out.getvalue(), err.getvalue()]
     os.makedirs(os.path.dirname(RECORD), exist_ok=True)
     with open(RECORD, "w") as fh:
         json.dump(record, fh, indent=1)

@@ -365,24 +365,34 @@ def test_boundary_weight_f_independence(corpus):
 def test_boundary_weigh_rejects_wrong_gram(corpus):
     # the Gram determinant and cokernel order handed to
     # BoundaryWeightContext.weigh are checked, not trusted; the engine's own
-    # pass and give the public parts
-    for name, d in (("moore_z2", 1), ("delta3", 1), ("sphere2", 1)):
-        x = corpus[name]
+    # pass and give the public parts.  The frame the engine carries with the
+    # unit rows as passengers is the public route's one push of W's rows,
+    # also when the runs are split by smallest index; the seeded bouquet
+    # brings pivots other than 1 and -1
+    bouquet = random_bouquet(random.Random(31), 5, 4)
+    for x, d in ((corpus["moore_z2"], 1), (corpus["delta3"], 1), (corpus["sphere2"], 1),
+                 (bouquet, 1)):
         b = integral_boundary_basis(x, d)
         ctx = BoundaryWeightContext(x, d, b)
         ids = x.cell_ids(d)
-        for idx, gram, cok in independent_subsets(ctx.rows, b.rank):
-            subset = CellSubset(d, [ids[i] for i in idx])
-            parts = ctx.weigh(idx, gram, cok)
-            assert parts == boundary_weight(x, d, subset, b, ctx).weight_parts
+        found = list(independent_subsets(ctx.rows, b.rank, passengers=ctx.units))
+        assert [item for first in range(len(ids)) for item in independent_subsets(
+            ctx.rows, b.rank, first, passengers=ctx.units)] == found
+        for idx, gram, cok, frame in found:
+            assert ctx.frame(idx) == (cok, frame), (x.name, idx)
+            u, v, gram_factor = ctx.weigh(idx, gram, cok, frame)
+            public = boundary_weight(x, d, CellSubset(d, [ids[i] for i in idx]), b, ctx)
+            assert public.weight == gram
+            assert public.weight_parts == {"u": u, "v": v, "f": Fraction(u, v),
+                                           "gram_factor": gram_factor}
             for wrong in ((gram + 1, cok), (gram, 2 * cok)):
                 with pytest.raises(AssertionError, match="boundary weight mismatch"):
-                    ctx.weigh(idx, *wrong)
+                    ctx.weigh(idx, *wrong, frame)
 
 
 def test_boundary_weight_rejects_dependent_subset(corpus):
     # a public caller's dependent or oversized subset (Gram determinant 0)
-    # is a ComplexFormatError; handed to BoundaryWeightContext.weigh, the
+    # is a ComplexFormatError; pushed by BoundaryWeightContext.frame, the
     # first zero tail of a pushed row rejects it with an AssertionError
     x = corpus["delta3"]
     b = integral_boundary_basis(x, 1)
@@ -396,7 +406,7 @@ def test_boundary_weight_rejects_dependent_subset(corpus):
         with pytest.raises(ComplexFormatError, match="not a k-reduced"):
             boundary_weight(x, 1, subset, b)
         with pytest.raises(AssertionError, match="are dependent"):
-            BoundaryWeightContext(x, 1, b).weigh(pos, 1, 1)
+            BoundaryWeightContext(x, 1, b).frame(pos)
 
 
 def test_kirchhoff_pair_examples(corpus):

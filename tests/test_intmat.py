@@ -173,6 +173,25 @@ def test_column_hermite_preserves_lattice(rng):
         assert column_hermite(a.mul(u)) == h
 
 
+def test_pivot_ops_pivot_choice():
+    # the first 1, else the first -1, else the first column of least
+    # nonzero |entry|; the operations clear every other column and leave
+    # the gcd, up to sign, in the pivot column
+    from math import gcd
+
+    from cellmesh.intmat import _pivot_ops
+    for tail, want in (([-2, 3, 2], 0), ([0, 3, -2, 2], 2), ([4, 0, -1, 1], 3),
+                       ([2, -1, 0, -1], 1), ([0, 0, 6], 2), ([-6, 4, 9, -4], 1)):
+        p, ops = _pivot_ops(tail)
+        assert p == want, tail
+        row = list(tail)
+        for c, x, y, u, v in ops:
+            assert x * v - y * u == 1
+            row[p], row[c] = x * row[p] + y * row[c], u * row[p] + v * row[c]
+        assert abs(row[p]) == gcd(*tail)
+        assert not any(a for c, a in enumerate(row) if c != p), tail
+
+
 def test_snf_larger_entries(rng):
     for _ in range(40):
         a = random_int_matrix(rng, rng.randint(3, 6), rng.randint(3, 6),

@@ -33,6 +33,7 @@ from conftest import (dependent_twin, double_coforest_cok, double_engine_cok,
                       double_v_order, force_pool, kernel_weight_oracle, lose_one_coforest,
                       perturb_reduced_table, random_unimodular, scale_unit_row,
                       torsion_subcomplex, triple_interface_tail, u_dependent_cycle_rhs)
+from test_random_complexes import random_bouquet
 
 SMALL = [("k3", 1), ("k4", 1), ("theta", 1), ("p2", 1), ("delta3", 1),
          ("delta3", 2), ("delta3", 3), ("sphere2", 1), ("sphere2", 2),
@@ -551,19 +552,38 @@ def test_theorem2_rejects_cok_or_u_scaled_on_one_route(corpus, monkeypatch):
         monkeypatch.undo()
 
 
+def test_theorem2_pool_rows_match_serial(corpus, monkeypatch):
+    # split by smallest index over the pool, each run starts with the rows
+    # before its first index as riders of the engine; its coforests' frames
+    # must give the serial report rows, on rp2 and on a seeded bouquet
+    # whose boundary basis has entries other than 0, 1 and -1
+    bouquet = random_bouquet(random.Random(44), 6, 4)
+    assert any(abs(a) > 1 for row in integral_boundary_basis(bouquet, 1).basis.data
+               for a in row)
+    for x in (corpus["rp2"], bouquet):
+        serial = verify_theorem2(x, 1, processes=1)
+        entered = force_pool(monkeypatch)
+        pooled = verify_theorem2(x, 1, processes=2)
+        assert entered and serial.passed
+        assert pooled.rows == serial.rows, x.name
+        monkeypatch.undo()
+
+
 def test_theorem2_leaf_path_matches_public_boundary_weight(corpus, monkeypatch):
     # the leaf check feeds BoundaryWeightContext.weigh the engine's sorted
-    # row positions, Gram determinant and cokernel order; on every
+    # row positions, Gram determinant, cokernel order and frame; on every
     # k-reduced coforest it must give the weight and parts of the public
     # route, which validates the cell ids and takes its own Gram
-    # determinant and Smith product, and the parts of the kernel oracle
+    # determinant, Smith product and push, and the parts of the kernel
+    # oracle
     weigh = BoundaryWeightContext.weigh
     fed = {}
 
-    def recorded(ctx, positions, gram, cok):
-        parts = weigh(ctx, positions, gram, cok)
+    def recorded(ctx, positions, gram, cok, frame):
+        u, v, gram_factor = weigh(ctx, positions, gram, cok, frame)
+        parts = {"u": u, "v": v, "f": Fraction(u, v), "gram_factor": gram_factor}
         fed[tuple(positions)] = (gram, parts, kernel_weight_oracle(ctx, positions))
-        return parts
+        return u, v, gram_factor
     monkeypatch.setattr(BoundaryWeightContext, "weigh", recorded)
     for name, d in (("moore_z2", 1), ("delta3", 1), ("delta3", 2), ("k4", 1)):
         x = corpus[name]
