@@ -305,9 +305,9 @@ def invariant_factor_product(m):
 # ---------------------------------------------------------------------------
 
 def rank(a):
-    """Rank over the rationals: the number of pivots of the column Hermite
-    reduction of a copy of a's columns (_column_hermite_reduce)."""
-    return _column_hermite_reduce([list(col) for col in zip(*a.data)], a.rows)
+    """Rank over the rationals: the number of pivots of the column echelon
+    reduction of a copy of a's columns (_column_echelon)."""
+    return len(_column_echelon([list(col) for col in zip(*a.data)], a.rows))
 
 
 def solve_bareiss(a, b):
@@ -452,16 +452,16 @@ def smith_normal_form(a):
                               IntMatrix(cols, cols, v))
 
 
-def _column_hermite_reduce(cols, nrows):
+def _column_echelon(cols, nrows):
     """Reduce the integer columns `cols` in place, by unimodular column
-    operations, to canonical column Hermite form on rows 0..nrows-1; return
-    the rank r there.  Entries below row nrows are carried along.
+    operations, to column echelon form on rows 0..nrows-1; return the
+    pivot rows.  Entries below row nrows are carried along.
 
-    Afterwards cols[:r] are echelon on those rows with strictly increasing
-    pivot rows, positive pivots and entries left of each pivot reduced into
-    [0, pivot), and cols[r:] are zero on them.  Each pivot row takes the
-    column of least nonzero |entry| and gcd-combines the later columns into
-    it by the Euclidean algorithm.
+    Afterwards cols[:r], r the rank there, have strictly increasing pivot
+    rows and cols[r:] are zero on those rows; pivot signs and the entries
+    left of each pivot are as the reduction left them.  Each pivot row
+    takes the column of least nonzero |entry| and gcd-combines the later
+    columns into it by the Euclidean algorithm.
     """
     n = len(cols)
     pivots = []
@@ -489,6 +489,19 @@ def _column_hermite_reduce(cols, nrows):
                     a, b = b, [x - q * y for x, y in zip(a, b)]
                 cols[c], cols[j] = a, b
         pivots.append(r)
+    return pivots
+
+
+def _column_hermite_reduce(cols, nrows):
+    """Reduce the integer columns `cols` in place, by unimodular column
+    operations, to canonical column Hermite form on rows 0..nrows-1; return
+    the rank r there.  Entries below row nrows are carried along.
+
+    Afterwards cols[:r] are echelon on those rows (_column_echelon) with
+    positive pivots and entries left of each pivot reduced into [0, pivot),
+    and cols[r:] are zero on them.
+    """
+    pivots = _column_echelon(cols, nrows)
     for c, r in enumerate(pivots):
         pc = cols[c]
         if pc[r] < 0:
@@ -570,9 +583,9 @@ def kernel_basis(a):
     """Basis of the saturated integer kernel lattice {x : A x = 0}.
 
     Cohen, A Course in Computational Algebraic Number Theory (1993), 2.4:
-    reduce the columns of the stacked matrix [A; I] to column Hermite form
+    reduce the columns of the stacked matrix [A; I] to column echelon form
     on the rows of A.  The operations are unimodular, so the identity part
-    records a unimodular transform U with [A; I] U = [H; U], and the columns
+    records a unimodular transform U with [A; I] U = [E; U], and the columns
     of U under a zero A-part are a basis of the kernel that is a direct
     summand of Z^cols (all invariant factors 1).  They are returned in
     canonical column Hermite form, which depends only on the kernel lattice.
@@ -580,7 +593,7 @@ def kernel_basis(a):
     m, n = a.rows, a.cols
     cols = [[row[j] for row in a.data] + [0] * j + [1] + [0] * (n - j - 1)
             for j in range(n)]
-    ker = [col[m:] for col in cols[_column_hermite_reduce(cols, m):]]
+    ker = [col[m:] for col in cols[len(_column_echelon(cols, m)):]]
     _column_hermite_reduce(ker, n)
     return IntMatrix(n, len(ker), [[col[i] for col in ker] for i in range(n)])
 

@@ -1,5 +1,6 @@
 """Command-line behaviour: subcommands, stable exit codes, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -163,6 +164,32 @@ def test_usage_error_exits_2(capsys):
                                 "--weights", weights)
         assert code == 2 and out == "", weights
         assert err.startswith("error: bad weight") and err.count("\n") == 1, err
+
+
+def test_repeated_runs_reuse_one_parser(capsys, monkeypatch, corpus_dir):
+    # after a first run, later runs build no ArgumentParser, and each gives
+    # the exit code, stdout and stderr of its first call: a usage error,
+    # --help, and a table run that leaves the next plain run printing JSON
+    k3 = str(corpus_dir / "k3.json")
+    argvs = (["bogus-subcommand"], ["--help"],
+             ["--output", "table", "validate", k3], ["validate", k3])
+    first = [invoke(capsys, *argv) for argv in argvs]
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    again = [invoke(capsys, *argv) for argv in argvs]
+    assert built == []
+    assert again == first
+    (usage_code, usage_out, usage_err), (help_code, help_out, help_err) = first[:2]
+    assert usage_code == 2 and usage_out == "" and usage_err.startswith("usage: cellmesh")
+    assert help_code == 0 and help_out.startswith("usage: cellmesh") and help_err == ""
+    assert first[2][0] == 0 and first[2][1].startswith("complex: k3")
+    assert first[3][0] == 0 and json.loads(first[3][1])["complex"] == "k3"
 
 
 def test_homology_subcommand(capsys, corpus_dir):

@@ -1,5 +1,6 @@
-"""No module-level import in src/cellmesh goes unused, and `import
-cellmesh` imports none of its submodules.
+"""No module-level import in src/cellmesh goes unused, `import cellmesh`
+imports none of its submodules, and `import cellmesh.cli` builds no
+argument parser.
 
 A name bound by a top-level `import` or `from ... import` must be read
 somewhere in its module.  __init__.py is exempt: it resolves the package's
@@ -65,3 +66,25 @@ def test_package_import_is_lazy():
                           env=env, check=False)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "64\n"
+
+
+def test_cli_import_builds_no_parser():
+    # a fresh interpreter: importing the CLI constructs no ArgumentParser;
+    # the parser is built on the first run, so importing stays cheap
+    probe = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting_init(self, *args, **kwargs):\n"
+        "    built.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting_init\n"
+        "import cellmesh.cli\n"
+        "assert built == [], built\n"
+        "cellmesh.cli.build_parser()\n"
+        "print(built[0], len(built))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(SRC, ".."))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, check=False)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "cellmesh 9\n"
